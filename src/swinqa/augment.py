@@ -43,7 +43,6 @@ class AugConfig:
     jitter_strength: float = 0.4
     normalize_mean: tuple = IMAGENET_MEAN
     normalize_std: tuple = IMAGENET_STD
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("mix_switch_prob", "erase_prob"):
@@ -293,11 +292,6 @@ def autocontrast(img: np.ndarray) -> np.ndarray:
 def equalize(img: np.ndarray) -> np.ndarray:
     return np.stack([histogram_equalize(img[:, :, c]) for c in range(img.shape[2])],
                     axis=-1)
-
-
-def _enh_factor(magnitude: float, rng) -> float:
-    direction = 1.0 if rng.random() < 0.5 else -1.0
-    return 1.0 + direction * _MAX_ENHANCE * magnitude / 10.0
 
 
 RANDAUGMENT_OPS = (

@@ -6,7 +6,7 @@ fully-resolved config is echoed into the output directory so any run can
 be replayed exactly.
 
 Commands: synth | train | eval | inspect | bench.
-Exit codes: 0 success, 1 validation error, 2 runtime abort.
+Exit codes: 0 success, 1 validation error or unreadable input, 2 runtime abort.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from .augment import AugConfig
 from .data import SynthSpec, load_manifest, make_benchmark, split_counts
-from .swin import count_flops, count_params, preset
+from .swin import count_flops, count_params, param_views, preset
 from .tensor import Tensor
 from .train import (
     TrainAbort,
@@ -175,7 +175,7 @@ def write_resolved_config(cfg: dict, out_dir: str) -> str:
 def _aug_config(cfg: dict) -> AugConfig:
     fields = {k: tuple(v) if isinstance(v, list) else v
               for k, v in cfg["aug"].items()}
-    return AugConfig(seed=cfg["seed"], **fields)
+    return AugConfig(**fields)
 
 
 def _synth_spec(cfg: dict) -> SynthSpec:
@@ -247,7 +247,7 @@ def cmd_eval(cfg: dict) -> int:
     params = ckpt.params
     used = "final"
     if e["use_best"] and ckpt.best_params is not None:
-        params = {n: Tensor(a) for n, a in ckpt.best_params.items()}
+        params = {n: Tensor(v) for n, v in param_views(ckpt.config, ckpt.best_params).items()}
         used = f"best (epoch {ckpt.best_epoch})"
     report = evaluate(ckpt.config, params, records, _aug_config(cfg),
                       batch_size=e["batch_size"])
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     except TrainAbort as e:
         print(f"aborted: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

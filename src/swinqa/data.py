@@ -60,16 +60,6 @@ class SynthSpec:
             raise ValueError("noise_sigma and background_blobs must be non-negative")
 
 
-@dataclass
-class Volume:
-    slices: np.ndarray  # [depth, H, W]
-
-    def __post_init__(self):
-        self.slices = np.asarray(self.slices)
-        if self.slices.ndim != 3 or self.slices.shape[0] < 1:
-            raise ValueError(f"volume needs [D >= 1, H, W], got {self.slices.shape}")
-
-
 # -------------------------------------------------------------- generators
 
 
@@ -329,12 +319,6 @@ def generate_record(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
     if spec.task == "foreign_object":
         return synth_foreign_object(spec, positive, rng)
     return synth_lvot(spec, positive, rng)
-
-
-def slice_volume(v: Volume) -> list:
-    """Depth-ordered list of 2-D slices; per-volume labels are inherited by
-    every slice (that is what multiplies the sample count)."""
-    return [v.slices[d] for d in range(v.slices.shape[0])]
 
 
 # ------------------------------------------------------------------- IO

@@ -16,6 +16,7 @@ published totals.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,19 +357,17 @@ def _drop_path(v: Tensor, drop_prob: float, rng) -> Tensor:
     return v * Tensor(gate.reshape(-1, 1, 1))
 
 
-def swin_block(x: FeatureMap, bp: dict, heads: int, shifted: bool,
+def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
                drop_prob: float = 0.0, training: bool = False, rng=None) -> FeatureMap:
     """One transformer block: windowed attention then MLP, both as
     pre-norm residual branches under stochastic depth.
 
-    `bp` maps the names in BLOCK_KEYS to parameter tensors. The window size
-    comes from the bias table extent. When `shifted`, the map is rolled by
-    -window//2 before partitioning, attention is masked, and the roll is
-    undone afterwards.
+    `bp` maps the names in BLOCK_KEYS to parameter tensors. When `shifted`,
+    the map is rolled by -window//2 before partitioning, attention is
+    masked, and the roll is undone afterwards.
     """
     if training and drop_prob >= 1.0:
         return x  # both branches dropped with certainty
-    window = (int(round(bp["attn.bias_table"].shape[0] ** 0.5)) + 1) // 2
     shift = window // 2 if shifted else 0
 
     h = layer_norm(x.values, bp["norm1.gamma"], bp["norm1.beta"])
@@ -459,6 +458,22 @@ def param_layout(cfg: SwinConfig) -> list:
         ("head.weight", (dl, cfg.num_classes)), ("head.bias", (cfg.num_classes,)),
     ]
     return out
+
+
+def param_views(cfg: SwinConfig, flat: np.ndarray) -> dict:
+    """Name -> view of `flat`, a 1-d buffer holding every parameter back to
+    back in param_layout order. This is the one place where the layout
+    becomes offsets: weights, gradients, optimizer moments and checkpoint
+    payload groups all use it."""
+    n = count_params(cfg)
+    if flat.ndim != 1 or flat.size != n:
+        raise ShapeError(f"flat buffer of shape {flat.shape}; the config has {n} parameters")
+    views, offset = {}, 0
+    for name, shape in param_layout(cfg):
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def init_params(cfg: SwinConfig, rng) -> dict:
@@ -571,7 +586,7 @@ def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=No
         for b in range(cfg.depths[s]):
             bp = {k: params[f"stages.{s}.blocks.{b}.{k}"] for k in BLOCK_KEYS}
             shifted = b % 2 == 1 and cfg.shift(s) > 0
-            fm = swin_block(fm, bp, cfg.heads[s], shifted,
+            fm = swin_block(fm, bp, cfg.eff_window(s), cfg.heads[s], shifted,
                             drop_prob=rates[gi], training=training, rng=rng)
             gi += 1
     hfin = layer_norm(fm.values, params["norm.gamma"], params["norm.beta"])

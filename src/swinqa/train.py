@@ -14,26 +14,22 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .augment import AugConfig, prepare_batch
-from .swin import (
-    SwinConfig,
-    count_params,
-    forward,
-    init_params,
-    param_layout,
-    preset,
-    stochastic_depth_rates,
+from .swin import SwinConfig, count_params, forward, init_params, param_views, preset
+from .tensor import (
+    ShapeError,
+    Tensor,
+    backward,
+    cross_entropy_soft,
+    default_dtype,
+    no_grad,
+    softmax,
 )
-from .tensor import ShapeError, Tensor, backward, cross_entropy_soft, no_grad, softmax
-
-# stochastic_depth_rates is re-exported here: the drop-path schedule is part
-# of the training recipe even though the forward pass consumes it directly
-stochastic_depth_rates = stochastic_depth_rates
 
 MODE_DEFAULTS = {
     "finetune": {"base_lr": 6e-5, "epochs": 60, "warmup_epochs": 5},
@@ -121,40 +117,47 @@ class TrainConfig:
 
 @dataclass
 class OptimState:
-    m: dict  # name -> first-moment array
-    v: dict  # name -> second-moment array
+    m: np.ndarray  # first moments, flat in param_layout order
+    v: np.ndarray  # second moments, flat in param_layout order
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # two scratch buffers that every adamw_step reuses; never saved
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def init_optim_state(params: dict) -> OptimState:
-    return OptimState(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                      v={k: np.zeros_like(p.data) for k, p in params.items()})
+def init_optim_state(param: np.ndarray) -> OptimState:
+    return OptimState(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adamw_step(params: dict, grads: dict, state: OptimState, lr: float,
+def adamw_step(param: np.ndarray, grad: np.ndarray, state: OptimState, lr: float,
                wd: float) -> None:
-    """One Adam update with decoupled weight decay, in place:
-    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
+    """One Adam update with decoupled weight decay, in place on flat buffers:
+    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), as whole-buffer
+    passes into reused scratch in that expression's operation order."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
+    g = np.asarray(grad)
+    if g.shape != param.shape:
+        raise ShapeError(f"gradient has shape {g.shape}, parameter has {param.shape}")
+    if state.work is None or state.work.shape != (2, *param.shape):
+        state.work = np.empty((2, *param.shape), dtype=param.dtype)
+    a, b = state.work
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient for {name} has shape {g.shape}, "
-                             f"parameter has {p.data.shape}")
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        step = (m / bc1) / (np.sqrt(v / bc2) + state.eps) + wd * p.data
-        p.data -= lr * step
+    state.m *= state.beta1
+    state.m += np.multiply(g, 1.0 - state.beta1, out=a)
+    state.v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=a)
+    state.v += np.multiply(a, g, out=a)
+    np.divide(state.m, bc1, out=a)
+    np.divide(state.v, bc2, out=b)
+    np.sqrt(b, out=b)
+    a /= np.add(b, state.eps, out=b)
+    a += np.multiply(param, wd, out=b)
+    param -= np.multiply(a, lr, out=a)
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:
@@ -272,64 +275,49 @@ class Checkpoint:
     epoch: int = 0                  # epochs completed
     rng_state: dict | None = None
     history: list = field(default_factory=list)
-    best_params: dict | None = None  # name -> float32 array snapshot
+    best_params: np.ndarray | None = None  # flat float32 snapshot, param_layout order
     best_epoch: int | None = None
 
 
-def _config_dict(cfg: SwinConfig) -> dict:
-    return {"img_size": cfg.img_size, "embed_dim": cfg.embed_dim,
-            "depths": list(cfg.depths), "heads": list(cfg.heads),
-            "window": cfg.window, "drop_path_max": cfg.drop_path_max,
-            "mlp_ratio": cfg.mlp_ratio, "num_classes": cfg.num_classes,
-            "patch_size": cfg.patch_size, "in_channels": cfg.in_channels}
-
-
-def _config_from_dict(d: dict) -> SwinConfig:
-    return SwinConfig(img_size=d["img_size"], embed_dim=d["embed_dim"],
-                      depths=tuple(d["depths"]), heads=tuple(d["heads"]),
-                      window=d["window"], drop_path_max=d["drop_path_max"],
-                      mlp_ratio=d["mlp_ratio"], num_classes=d["num_classes"],
-                      patch_size=d["patch_size"], in_channels=d["in_channels"])
-
-
-def _directory_entries(ckpt: Checkpoint) -> list:
-    """Canonical (name, array) order: model parameters in layout order, then
-    optimizer moments, then the best-model snapshot."""
-    layout = param_layout(ckpt.config)
-    entries = []
-    for name, shape in layout:
-        if name not in ckpt.params:
-            raise ValueError(f"checkpoint is missing parameter {name}")
-        arr = ckpt.params[name].data
-        if arr.shape != shape:
-            raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-        entries.append((name, arr))
-    if ckpt.optim is not None:
-        for name, _ in layout:
-            entries.append((f"optim.m.{name}", ckpt.optim.m[name]))
-        for name, _ in layout:
-            entries.append((f"optim.v.{name}", ckpt.optim.v[name]))
-    if ckpt.best_params is not None:
-        for name, _ in layout:
-            entries.append((f"best.{name}", ckpt.best_params[name]))
-    return entries
+def _directory(cfg: SwinConfig, group: np.ndarray, prefixes) -> dict:
+    """Tensor directory of a payload of equal param_layout-ordered groups,
+    one per name prefix. Offsets within a group are read off param_views of
+    `group` (one flat float32 group), so the layout becomes offsets in one
+    place only."""
+    start = group.ctypes.data
+    return {prefix + name: {"shape": list(view.shape),
+                            "offset": g * group.nbytes + view.ctypes.data - start}
+            for g, prefix in enumerate(prefixes)
+            for name, view in param_views(cfg, group).items()}
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Layout: b"SWQK", format version (u32 LE), header length (u32 LE),
-    UTF-8 JSON header, then raw little-endian float32 arrays at the offsets
-    recorded in the header's tensor directory."""
-    entries = _directory_entries(ckpt)
-    directory = {}
-    blobs = []
-    offset = 0
-    for name, arr in entries:
-        raw = np.ascontiguousarray(arr).astype("<f4").tobytes()
-        directory[name] = {"shape": list(arr.shape), "offset": offset}
-        blobs.append(raw)
-        offset += len(raw)
+    UTF-8 JSON header, then the payload: the weights, optimizer m and v, and
+    best-snapshot groups, each one block of little-endian float32 in
+    param_layout order, at the offsets in the header's tensor directory."""
+    cfg = ckpt.config
+    if (ckpt.best_params is None) != (ckpt.best_epoch is None):
+        raise ValueError("best_params and best_epoch must be set together")
+    groups = {}  # directory-name prefix -> flat array, after the weights
+    if ckpt.optim is not None:
+        groups.update({"optim.m.": ckpt.optim.m, "optim.v.": ckpt.optim.v})
+    if ckpt.best_params is not None:
+        groups["best."] = ckpt.best_params
+    weights = np.empty(count_params(cfg), dtype="<f4")
+    for name, view in param_views(cfg, weights).items():
+        if name not in ckpt.params:
+            raise ValueError(f"checkpoint is missing parameter {name}")
+        if ckpt.params[name].shape != view.shape:
+            raise ValueError(f"{name}: expected shape {view.shape}, "
+                             f"got {ckpt.params[name].shape}")
+        view[...] = ckpt.params[name].data
+    for prefix, flat in groups.items():
+        if np.shape(flat) != weights.shape:
+            raise ValueError(f"{prefix}* group has shape {np.shape(flat)}, "
+                             f"expected {weights.shape}")
     header = {"format_version": FORMAT_VERSION,
-              "config": _config_dict(ckpt.config),
+              "config": asdict(cfg),
               "epoch": ckpt.epoch,
               "best_epoch": ckpt.best_epoch,
               "rng_state": ckpt.rng_state,
@@ -337,63 +325,63 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
               "optim": None if ckpt.optim is None else
                   {"t": ckpt.optim.t, "beta1": ckpt.optim.beta1,
                    "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps},
-              "tensors": directory}
+              "tensors": _directory(cfg, weights, ["", *groups])}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
         f.write(blob)
-        for raw in blobs:
-            f.write(raw)
+        f.write(weights)
+        for flat in groups.values():
+            f.write(np.ascontiguousarray(flat, dtype="<f4"))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a save_checkpoint file; a truncated or inconsistent one raises
+    ValueError naming `path`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version = struct.unpack("<I", f.read(4))[0]
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        header = json.loads(f.read(struct.unpack("<I", f.read(4))[0]).decode())
-        data = f.read()
-    cfg = _config_from_dict(header["config"])
-    tensors = {}
-    for name, entry in header["tensors"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = data[entry["offset"]:entry["offset"] + 4 * count]
-        if len(raw) != 4 * count:
-            raise ValueError(f"{path}: truncated tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    layout = param_layout(cfg)
-    params = {}
-    total = 0
-    for name, shape in layout:
-        if name not in tensors:
-            raise ValueError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != shape:
-            raise ValueError(f"{path}: {name} has shape {tensors[name].shape}, "
-                             f"expected {shape}")
-        params[name] = Tensor(tensors[name], requires_grad=True)
-        total += tensors[name].size
-    if total != count_params(cfg):
-        raise ValueError(f"{path}: {total} parameters on file, config implies "
-                         f"{count_params(cfg)}")
+        try:
+            return _read_checkpoint(f)
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path}: malformed header: {type(e).__name__} {e}") from e
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
+
+
+def _read_checkpoint(f) -> Checkpoint:
+    fixed = f.read(12)
+    if fixed[:4] != MAGIC:
+        raise ValueError(f"bad magic {fixed[:4]!r}")
+    if len(fixed) < 12:
+        raise ValueError(f"truncated header: {len(fixed)} of 12 fixed bytes")
+    version, size = struct.unpack("<II", fixed[4:])
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    blob = f.read(size)
+    if len(blob) < size:
+        raise ValueError(f"truncated header: {len(blob)} of {size} bytes")
+    header = json.loads(blob.decode())
+    cfg = SwinConfig(**header["config"])
+    prefixes = [""]
+    if header["optim"] is not None:
+        prefixes += ["optim.m.", "optim.v."]
+    if header["best_epoch"] is not None:
+        prefixes.append("best.")
+    payload = np.empty((len(prefixes), count_params(cfg)), dtype="<f4")
+    if header["tensors"] != _directory(cfg, payload[0], prefixes):
+        raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
+    if f.readinto(payload) < payload.nbytes:
+        raise ValueError(f"truncated payload: expected {payload.nbytes} bytes")
+    rows = iter(payload)
+    params = {name: Tensor(view, requires_grad=True)
+              for name, view in param_views(cfg, next(rows)).items()}
     optim = None
     if header["optim"] is not None:
         o = header["optim"]
-        optim = OptimState(m={n: tensors[f"optim.m.{n}"] for n, _ in layout},
-                           v={n: tensors[f"optim.v.{n}"] for n, _ in layout},
-                           t=o["t"], beta1=o["beta1"], beta2=o["beta2"],
-                           eps=o["eps"])
-    best = None
-    if header["best_epoch"] is not None:
-        best = {n: tensors[f"best.{n}"] for n, _ in layout}
+        optim = OptimState(m=next(rows), v=next(rows), t=o["t"], beta1=o["beta1"],
+                           beta2=o["beta2"], eps=o["eps"])
     return Checkpoint(config=cfg, params=params, optim=optim,
                       epoch=header["epoch"], rng_state=header["rng_state"],
-                      history=header["history"], best_params=best,
+                      history=header["history"], best_params=next(rows, None),
                       best_epoch=header["best_epoch"])
 
 
@@ -413,6 +401,21 @@ def _rng_for(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng([seed, *key])
 
 
+def _flat_params(cfg: SwinConfig, source: dict) -> tuple:
+    """Copy `source` (name -> Tensor) into a flat weight buffer; return it,
+    a zeroed flat gradient buffer, and name -> Tensor viewing both, so that
+    backward() accumulates into the gradient buffer in place."""
+    weights = np.empty(count_params(cfg), dtype=default_dtype())
+    grad = np.zeros_like(weights)
+    grads = param_views(cfg, grad)
+    params = {}
+    for name, view in param_views(cfg, weights).items():
+        view[...] = source[name].data
+        params[name] = Tensor(view, requires_grad=True)
+        params[name].grad = grads[name]
+    return weights, grad, params
+
+
 def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
     """Run the configured recipe; returns (and optionally writes) the final
     checkpoint, whose best.* snapshot holds the weights of the epoch with
@@ -427,8 +430,8 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
         ckpt = load_checkpoint(cfg.checkpoint_in)
         if ckpt.config != scfg:
             raise ValueError("checkpoint config does not match the train config")
-        params = ckpt.params
-        optim = ckpt.optim if ckpt.optim is not None else init_optim_state(params)
+        weights, grad, params = _flat_params(scfg, ckpt.params)
+        optim = ckpt.optim if ckpt.optim is not None else init_optim_state(weights)
         start_epoch = ckpt.epoch
         history = list(ckpt.history)
         best_epoch = ckpt.best_epoch
@@ -439,13 +442,12 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             best_key = (row["val_auc"] if row["val_auc"] is not None else -1.0,
                         row["val_acc"])
     else:
-        params = init_params(scfg, _rng_for(cfg.seed, 0))
-        optim = init_optim_state(params)
+        weights, grad, params = _flat_params(scfg, init_params(scfg, _rng_for(cfg.seed, 0)))
+        optim = init_optim_state(weights)
         start_epoch = 0
         history = []
         best_epoch, best_params, best_key = None, None, None
 
-    names = [n for n, _ in param_layout(scfg)]
     n = len(train_records)
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     steps_per_epoch = math.ceil(batches_per_epoch / cfg.grad_accum_steps)
@@ -455,7 +457,6 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
 
     for epoch in range(start_epoch, end_epoch):
         order = _rng_for(cfg.seed, 1, epoch).permutation(n)
-        acc_grads = {nm: np.zeros_like(params[nm].data) for nm in names}
         acc_count = 0
         step_in_epoch = 0
         loss_sum = 0.0
@@ -480,17 +481,13 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             if not math.isfinite(loss_val):
                 raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
                                  f"step {step}, lr {lr:.6g}")
-            backward(loss)
-            for nm in names:
-                acc_grads[nm] += params[nm].grad
-                params[nm].grad = None
+            backward(loss)  # adds into the flat grad buffer
             acc_count += 1
             loss_sum += loss_val * len(idx)
             if acc_count == cfg.grad_accum_steps or b == batches_per_epoch - 1:
-                for nm in names:
-                    acc_grads[nm] /= acc_count
-                adamw_step(params, acc_grads, optim, lr, cfg.weight_decay)
-                acc_grads = {nm: np.zeros_like(params[nm].data) for nm in names}
+                grad /= acc_count
+                adamw_step(weights, grad, optim, lr, cfg.weight_decay)
+                grad[...] = 0.0
                 acc_count = 0
                 step_in_epoch += 1
                 last_lr = lr
@@ -503,8 +500,7 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
         if best_key is None or key > best_key:
             best_key = key
             best_epoch = epoch + 1
-            best_params = {nm: params[nm].data.astype("<f4", copy=True)
-                           for nm in names}
+            best_params = weights.astype("<f4")
         if log is not None:
             auc_s = "n/a" if report.auc is None else f"{report.auc:.4f}"
             log(f"epoch {epoch + 1}/{cfg.epochs}  loss {row['train_loss']:.4f}  "

@@ -118,3 +118,19 @@ def pair_count_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def adamw_per_name(params, grads, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference AdamW with decoupled weight decay over name -> array dicts,
+    one parameter at a time, updating params, m and v in place; `t` is the
+    step count after this update."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps) + wd * p
+        p -= lr * step

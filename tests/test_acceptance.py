@@ -26,6 +26,7 @@ from swinqa.swin import (
     cyclic_shift,
     forward,
     init_params,
+    param_views,
     preset,
     rel_pos_bias,
     window_attention,
@@ -279,15 +280,17 @@ def test_criterion_5_exact_structural_identities(tmp_path):
     cfg = SwinConfig(img_size=32, embed_dim=8, depths=(1, 1), heads=(2, 2),
                      window=4, drop_path_max=0.1)
     params = init_params(cfg, rng)
-    optim = init_optim_state(params)
-    grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-    adamw_step(params, grads, optim, lr=1e-3, wd=1e-8)
+    weights = np.concatenate([p.data.ravel() for p in params.values()])
+    optim = init_optim_state(weights)
+    grads = np.concatenate([rng.normal(size=p.shape).ravel() for p in params.values()])
+    adamw_step(weights, grads, optim, lr=1e-3, wd=1e-8)
+    params = {k: Tensor(v, requires_grad=True) for k, v in param_views(cfg, weights).items()}
     history = [{"epoch": 1, "train_loss": 0.7, "val_acc": 50.0,
                 "val_auc": 0.5, "lr": 1e-3}]
     ckpt = Checkpoint(config=cfg, params=params, optim=optim, epoch=1,
                       rng_state={"scheme": "keyed-streams", "seed": 3, "next_epoch": 1},
                       history=history,
-                      best_params={k: p.data.copy() for k, p in params.items()},
+                      best_params=weights.copy(),
                       best_epoch=1)
     p1, p2 = tmp_path / "a.swq", tmp_path / "b.swq"
     save_checkpoint(str(p1), ckpt)
@@ -332,13 +335,13 @@ def test_criterion_6_optimizer_and_schedule():
     t0 = time.perf_counter()
 
     # decoupled decay: zero gradient shrinks weights by exactly lr*wd*p
-    p = {"w": Tensor(np.array([2.0, -3.0, 0.5]), requires_grad=True)}
-    state = init_optim_state(p)
+    w = Tensor(np.array([2.0, -3.0, 0.5])).data
+    state = init_optim_state(w)
     expect = np.array([2.0, -3.0, 0.5])
     for _ in range(3):
-        adamw_step(p, {"w": np.zeros(3)}, state, lr=0.1, wd=0.01)
+        adamw_step(w, np.zeros(3), state, lr=0.1, wd=0.01)
         expect = expect - 0.1 * (0.01 * expect)
-    ok_decay = np.array_equal(p["w"].data, expect.astype(p["w"].data.dtype))
+    ok_decay = np.array_equal(w, expect.astype(w.dtype))
 
     # gradient accumulation: (batch 2, accum 2) == (batch 4, accum 1)
     spec = SynthSpec(task="foreign_object", size=64, seed=42)

@@ -192,6 +192,43 @@ def test_train_without_manifest_exits_1(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err, err
+    assert "Traceback" not in err
+
+
+def test_train_missing_manifest_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    assert main(["train", "--manifest", str(missing), "--out", str(tmp_path / "o")]) == 1
+    error_line(capsys, missing)
+
+
+def test_eval_missing_checkpoint_file_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    missing = tmp_path / "absent.swq"
+    assert main(["eval", "--checkpoint", str(missing), "--manifest", manifest,
+                 "--out", str(tmp_path / "o")]) == 1
+    error_line(capsys, missing)
+
+
+def test_eval_missing_manifest_file_exits_1(tmp_path, capsys):
+    scfg = preset("micro")
+    ckpt = str(tmp_path / "w.swq")
+    save_checkpoint(ckpt, Checkpoint(config=scfg, params=init_params(scfg, np.random.default_rng(0))))
+    missing = tmp_path / "absent.csv"
+    assert main(["eval", "--checkpoint", ckpt, "--manifest", str(missing),
+                 "--out", str(tmp_path / "o")]) == 1
+    error_line(capsys, missing)
+
+
+def test_inspect_short_checkpoint_exits_1(tmp_path, capsys):
+    short = tmp_path / "short.swq"
+    short.write_bytes(b"SWQK\x01\x00")
+    assert main(["inspect", "--checkpoint", str(short), "--out", str(tmp_path / "o")]) == 1
+    error_line(capsys, short)
+
+
 def test_train_nan_abort_exits_2(tmp_path, capsys):
     manifest = synth_small(tmp_path)
     scfg = preset("micro")

@@ -10,12 +10,10 @@ import pytest
 from swinqa.data import (
     SampleRecord,
     SynthSpec,
-    Volume,
     histogram_equalize,
     load_manifest,
     make_benchmark,
     read_image,
-    slice_volume,
     split_counts,
     synth_foreign_object,
     synth_lvot,
@@ -144,21 +142,6 @@ def test_synth_spec_validation():
         SynthSpec(object_radius=(5, 3))
     with pytest.raises(ValueError):
         synth_foreign_object(SynthSpec(task="lvot"), True, np.random.default_rng(0))
-
-
-# --------------------------------------------------------------- volumes
-
-
-def test_slice_volume():
-    rng = np.random.default_rng(2)
-    v = Volume(rng.random((25, 8, 8)))
-    slices = slice_volume(v)
-    assert len(slices) == 25
-    assert np.array_equal(np.stack(slices), v.slices)
-    single = Volume(rng.random((1, 4, 4)))
-    assert len(slice_volume(single)) == 1
-    with pytest.raises(ValueError):
-        Volume(np.zeros((0, 4, 4)))
 
 
 # -------------------------------------------------------------------- IO

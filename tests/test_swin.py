@@ -400,7 +400,7 @@ def test_swin_block_drop_prob_one_is_identity():
     rng = np.random.default_rng(17)
     bp = rand_block_params(rng, 8, 2, 4)
     fm = fmap(rng.standard_normal((8, 8, 8)))
-    out = swin_block(fm, bp, heads=2, shifted=True, drop_prob=1.0, training=True,
+    out = swin_block(fm, bp, window=4, heads=2, shifted=True, drop_prob=1.0, training=True,
                      rng=np.random.default_rng(0))
     assert np.array_equal(out.values.data, fm.values.data)
 
@@ -409,8 +409,8 @@ def test_swin_block_eval_ignores_drop_prob():
     rng = np.random.default_rng(18)
     bp = rand_block_params(rng, 8, 2, 4)
     fm = fmap(rng.standard_normal((8, 8, 8)))
-    a = swin_block(fm, bp, heads=2, shifted=False, drop_prob=0.7, training=False)
-    b = swin_block(fm, bp, heads=2, shifted=False, drop_prob=0.0, training=False)
+    a = swin_block(fm, bp, window=4, heads=2, shifted=False, drop_prob=0.7, training=False)
+    b = swin_block(fm, bp, window=4, heads=2, shifted=False, drop_prob=0.0, training=False)
     assert np.array_equal(a.values.data, b.values.data)
 
 
@@ -426,9 +426,9 @@ def test_swin_block_drop_path_scales_surviving_branch():
         if np.random.default_rng(seed).random(1)[0] < 1 - p:
             seed_survive = seed
             break
-    out = swin_block(fm, bp, heads=2, shifted=False, drop_prob=p, training=True,
+    out = swin_block(fm, bp, window=4, heads=2, shifted=False, drop_prob=p, training=True,
                      rng=np.random.default_rng(seed_survive))
-    base = swin_block(fm, bp, heads=2, shifted=False, drop_prob=0.0, training=False)
+    base = swin_block(fm, bp, window=4, heads=2, shifted=False, drop_prob=0.0, training=False)
     attn_delta = base.values.data - fm.values.data  # both branches, unscaled
     scaled_delta = out.values.data - fm.values.data
     # the two branches interact (second LN sees scaled x1), so only check
@@ -445,8 +445,8 @@ def test_swin_block_torus_constant_shift_symmetry():
         tile = rng.standard_normal((2, 2, 8))
         grid = np.tile(tile, (4, 4, 1))  # 8x8, period 2 == shift
         fm = fmap(grid)
-        shifted = swin_block(fm, bp, heads=2, shifted=True)
-        plain = swin_block(fm, bp, heads=2, shifted=False)
+        shifted = swin_block(fm, bp, window=4, heads=2, shifted=True)
+        plain = swin_block(fm, bp, window=4, heads=2, shifted=False)
         assert np.abs(shifted.values.data - plain.values.data).max() < 1e-10
 
 
@@ -457,7 +457,7 @@ def test_swin_block_gradcheck_shifted():
         mix = rng.standard_normal((1, 64, 16))
 
         def f(t):
-            out = swin_block(FeatureMap(8, 8, 16, t), bp, heads=2, shifted=True)
+            out = swin_block(FeatureMap(8, 8, 16, t), bp, window=4, heads=2, shifted=True)
             return (out.values * Tensor(mix)).sum()
 
         x = Tensor(rng.standard_normal((1, 64, 16)))

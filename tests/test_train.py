@@ -2,14 +2,16 @@
 oracle, checkpoint byte round trips, and training-loop semantics
 (determinism, accumulation equivalence, resume, NaN abort)."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from oracles import pair_count_auc
+from oracles import adamw_per_name, pair_count_auc
 from swinqa.data import SynthSpec, synth_foreign_object
-from swinqa.swin import count_params, init_params, preset
+from swinqa.swin import count_params, init_params, param_views, preset
 from swinqa.tensor import ShapeError, Tensor, using_dtype
 from swinqa.train import (
     BATCH_PRESETS,
@@ -26,15 +28,14 @@ from swinqa.train import (
     lr_at,
     predictive_entropy,
     save_checkpoint,
-    stochastic_depth_rates,
     throughput,
     train,
     write_history_csv,
 )
 
 
-def scalar_params(value):
-    return {"p": Tensor(np.array([value]), requires_grad=True)}
+def scalar_param(value):
+    return Tensor(np.array([value])).data
 
 
 def records(n, seed=0):
@@ -55,55 +56,77 @@ def micro_train_cfg(**over):
 
 
 def test_adamw_zero_grad_zero_decay_is_identity():
-    params = scalar_params(0.7)
-    state = init_optim_state(params)
-    before = params["p"].data.copy()
-    adamw_step(params, {"p": np.zeros(1)}, state, lr=0.1, wd=0.0)
-    assert np.array_equal(params["p"].data, before)
+    param = scalar_param(0.7)
+    state = init_optim_state(param)
+    before = param.copy()
+    adamw_step(param, np.zeros(1), state, lr=0.1, wd=0.0)
+    assert np.array_equal(param, before)
     assert state.t == 1
 
 
 def test_adamw_one_step_moves_by_lr():
     with using_dtype("float64"):
-        params = scalar_params(0.7)
-        state = init_optim_state(params)
-        adamw_step(params, {"p": np.ones(1)}, state, lr=0.1, wd=0.0)
+        param = scalar_param(0.7)
+        state = init_optim_state(param)
+        adamw_step(param, np.ones(1), state, lr=0.1, wd=0.0)
         # bias-corrected m_hat / sqrt(v_hat) == 1 after one step
-        assert abs((0.7 - params["p"].data[0]) - 0.1) < 1e-8
+        assert abs((0.7 - param[0]) - 0.1) < 1e-8
 
 
 def test_adamw_decoupled_decay_factor():
     with using_dtype("float64"):
         rng = np.random.default_rng(0)
-        params = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
-        state = init_optim_state(params)
-        start = params["w"].data.copy()
+        param = Tensor(rng.normal(size=12)).data
+        state = init_optim_state(param)
+        start = param.copy()
         lr, wd = 0.05, 0.3
         for _ in range(5):
-            adamw_step(params, {"w": np.zeros((4, 3))}, state, lr, wd)
+            adamw_step(param, np.zeros(12), state, lr, wd)
         want = start.copy()
         for _ in range(5):
             want = want - lr * wd * want
-        assert np.abs(params["w"].data - want).max() < 1e-15
-        ratio = np.linalg.norm(params["w"].data) / np.linalg.norm(start)
+        assert np.abs(param - want).max() < 1e-15
+        ratio = np.linalg.norm(param) / np.linalg.norm(start)
         assert abs(ratio - (1 - lr * wd) ** 5) < 1e-12
 
 
 def test_adamw_rejects_shape_mismatch():
-    params = scalar_params(1.0)
+    param = scalar_param(1.0)
     with pytest.raises(ShapeError):
-        adamw_step(params, {"p": np.zeros(2)}, init_optim_state(params), 0.1, 0.0)
+        adamw_step(param, np.zeros(2), init_optim_state(param), 0.1, 0.0)
 
 
 def test_adamw_second_moment_nonnegative():
     with using_dtype("float64"):
         rng = np.random.default_rng(1)
-        params = {"w": Tensor(rng.normal(size=7), requires_grad=True)}
-        state = init_optim_state(params)
+        param = Tensor(rng.normal(size=7)).data
+        state = init_optim_state(param)
         for k in range(4):
-            adamw_step(params, {"w": rng.normal(size=7)}, state, 0.01, 0.0)
+            adamw_step(param, rng.normal(size=7), state, 0.01, 0.0)
         assert state.t == 4
-        assert (state.v["w"] >= 0).all()
+        assert (state.v >= 0).all()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adamw_flat_matches_per_name_oracle(dtype):
+    cfg = preset("micro")
+    with using_dtype(dtype):
+        params = init_params(cfg, np.random.default_rng(3))
+    ref = {n: p.data.copy() for n, p in params.items()}
+    ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+    weights = np.concatenate([p.data.ravel() for p in params.values()])
+    state = init_optim_state(weights)
+    rng = np.random.default_rng(4)
+    for t in range(1, 4):
+        grads = {n: rng.normal(size=a.shape).astype(dtype) for n, a in ref.items()}
+        adamw_per_name(ref, grads, ref_m, ref_v, t, lr=1e-3, wd=0.05)
+        flat_grad = np.concatenate([g.ravel() for g in grads.values()])
+        adamw_step(weights, flat_grad, state, lr=1e-3, wd=0.05)
+    for flat, want in ((weights, ref), (state.m, ref_m), (state.v, ref_v)):
+        assert flat.dtype == np.dtype(dtype)
+        for name, view in param_views(cfg, flat).items():
+            assert np.array_equal(view, want[name]), name
 
 
 # ---------------------------------------------------------------- schedule
@@ -134,10 +157,6 @@ def test_lr_at_continuity_and_bounds():
         lr_at(0, total, total, base)
     # zero warmup starts at the peak
     assert lr_at(0, 10, 0, 1.0) == 1.0
-
-
-def test_stochastic_depth_rates_reexported():
-    assert stochastic_depth_rates(0.2, 12)[-1] == 0.2
 
 
 # ----------------------------------------------------------------- metrics
@@ -183,18 +202,20 @@ def test_predictive_entropy_values():
 def micro_checkpoint(with_optim=True, with_best=True, history=None):
     cfg = preset("micro")
     params = init_params(cfg, np.random.default_rng(7))
+    weights = np.concatenate([p.data.ravel() for p in params.values()])
     optim = None
     if with_optim:
-        optim = init_optim_state(params)
+        optim = init_optim_state(weights.astype(np.float32))
+        m, v = param_views(cfg, optim.m), param_views(cfg, optim.v)
         rng = np.random.default_rng(8)
-        for name in optim.m:
-            optim.m[name] = rng.normal(size=optim.m[name].shape).astype(np.float32)
-            optim.v[name] = rng.random(size=optim.v[name].shape).astype(np.float32)
+        for name in m:
+            m[name][...] = rng.normal(size=m[name].shape)
+            v[name][...] = rng.random(size=v[name].shape)
         optim.t = 17
     best = None
     best_epoch = None
     if with_best:
-        best = {n: p.data.astype("<f4") * 0.5 for n, p in params.items()}
+        best = weights.astype("<f4") * 0.5
         best_epoch = 1
     if history is None:
         history = [{"epoch": 1, "train_loss": 0.69, "val_acc": 50.0,
@@ -229,10 +250,8 @@ def test_checkpoint_preserves_values(tmp_path):
     for name, p in ckpt.params.items():
         assert np.array_equal(back.params[name].data, p.data.astype(np.float32))
     assert back.optim.t == 17
-    for name in ckpt.optim.m:
-        assert np.array_equal(back.optim.m[name], ckpt.optim.m[name])
-    for name in ckpt.best_params:
-        assert np.array_equal(back.best_params[name], ckpt.best_params[name])
+    assert np.array_equal(back.optim.m, ckpt.optim.m)
+    assert np.array_equal(back.best_params, ckpt.best_params)
     total = sum(p.data.size for p in back.params.values())
     assert total == count_params(ckpt.config)
 
@@ -250,6 +269,45 @@ def test_checkpoint_truncation_guard(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-100])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_short_fixed_header(tmp_path):
+    path = str(tmp_path / "short.swq")
+    open(path, "wb").write(b"SWQK\x01\x00")
+    with pytest.raises(ValueError, match="short.swq: truncated header"):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of a checkpoint file, keeping its payload."""
+    blob = open(path, "rb").read()
+    size = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + size])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + size:])
+
+
+def _optim_without_moments(h):
+    h["optim"] = {"t": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
+def _extra_entry(h):
+    h["tensors"]["extra.weight"] = {"shape": [1], "offset": 0}
+
+
+def _overlapping_entry(h):
+    h["tensors"]["head.bias"]["offset"] = h["tensors"]["head.weight"]["offset"]
+
+
+@pytest.mark.parametrize("edit", [_optim_without_moments, _extra_entry, _overlapping_entry])
+def test_checkpoint_directory_must_match_layout(tmp_path, edit):
+    path = str(tmp_path / "d.swq")
+    save_checkpoint(path, micro_checkpoint(with_optim=False, with_best=False))
+    load_checkpoint(path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match="d.swq: tensor directory"):
         load_checkpoint(path)
 
 
@@ -368,7 +426,7 @@ def test_train_tracks_best_by_auc_then_accuracy(tmp_path):
     for r in ckpt.history:
         other = (r["val_auc"] if r["val_auc"] is not None else -1.0, r["val_acc"])
         assert key >= other
-    assert set(ckpt.best_params) == set(ckpt.params)
+    assert ckpt.best_params.shape == (count_params(ckpt.config),)
 
 
 # -------------------------------------------------------------- evaluation
