@@ -79,6 +79,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _records_graph(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on `parents` joins the autodiff graph."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+
+
 class Tensor:
     """N-dimensional real array, optionally a node in an autodiff graph.
 
@@ -102,7 +107,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+        if _records_graph(parents):
             out.requires_grad = any(p.requires_grad for p in parents)
             out._parents = tuple(parents)
             out._backward = backward
@@ -320,15 +325,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate(y * (g - inner))
+        gx = g * y
+        inner = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= y
+        x._accumulate(gx)
 
     return Tensor._from_op(y, (x,), bwd)
+
+
+def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, kept as a length-1 axis."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -339,31 +352,94 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    out_data = xhat * gamma.data + beta.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(_dot_last(xhat, xhat) / d + eps)
+    xhat *= inv_std
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def bwd(g):
         beta._accumulate(_unbroadcast(g, beta.data.shape))
-        gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-        gx = g * gamma.data
-        x._accumulate(inv_std * (gx
-                                 - gx.mean(axis=-1, keepdims=True)
-                                 - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        gx = g * xhat
+        gamma._accumulate(_unbroadcast(gx, gamma.data.shape))
+        np.multiply(g, gamma.data, out=gx)
+        gx_xhat = _dot_last(gx, xhat) / d
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * gx_xhat
+        gx *= inv_std
+        x._accumulate(gx)
 
     return Tensor._from_op(out_data, (x, gamma, beta), bwd)
 
 
+# Eigen's float erf: erf(z) ~ z P(z^2) / Q(z^2) with z clamped to [-4, 4]
+# (beyond it float32 erf rounds to +-1); highest power first. P is halved,
+# which is exact, so the ratio is erf/2.
+_ERF_P_HALF = tuple(0.5 * c for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+# float32 elements per GELU block: each block's ~25 passes stay in L2
+_GELU_BLOCK = 16384
+
+
+def _horner(coeffs: tuple, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(z2, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= z2
+        out += c
+    return out
+
+
+def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple:
+    """(x * Phi(x), Phi(x) or None) for float32 x, block by block in
+    place; without keep_phi, Phi lives in one block of scratch only."""
+    xf = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty(xf.size, dtype=np.float32)
+    phi = np.empty_like(out) if keep_phi else None
+    z, z2, q, p = np.empty((4, min(_GELU_BLOCK, xf.size)), dtype=np.float32)
+    for start in range(0, xf.size, _GELU_BLOCK):
+        xb = xf[start:start + _GELU_BLOCK]
+        n = xb.size
+        zb, z2b, qb = z[:n], z2[:n], q[:n]
+        pb = p[:n] if phi is None else phi[start:start + n]
+        np.multiply(xb, _INV_SQRT2, out=zb)
+        np.clip(zb, -4.0, 4.0, out=zb)
+        np.multiply(zb, zb, out=z2b)
+        _horner(_ERF_P_HALF, z2b, pb)
+        pb *= zb
+        pb /= _horner(_ERF_Q, z2b, qb)
+        pb += 0.5
+        np.multiply(xb, pb, out=out[start:start + n])
+    return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error linear unit x * Phi(x) (erf form, no tanh fit)."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = x.data * phi_cdf
+    """Gaussian-error linear unit x * Phi(x) in the erf form (no tanh fit).
+
+    float64 takes erf from scipy. float32 uses a clamped rational erf
+    (Eigen's 7+5-coefficient fit) evaluated in place over blocks of
+    _GELU_BLOCK elements: Phi is within 2.5e-7 of the exact value, and
+    exactly 0 or 1 for |x| >= 4 sqrt(2).
+    """
+    if x.data.dtype == np.float32:
+        out_data, phi_cdf = _gelu_f32(x.data, keep_phi=_records_graph((x,)))
+    else:
+        phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+        out_data = x.data * phi_cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        x._accumulate(g * (phi_cdf + x.data * pdf))
+        dx = np.multiply(x.data, x.data)
+        dx *= -0.5
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += phi_cdf
+        dx *= g
+        x._accumulate(dx)
 
     return Tensor._from_op(out_data, (x,), bwd)
 

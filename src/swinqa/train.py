@@ -9,9 +9,11 @@ straight-through run would be.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -47,8 +49,10 @@ FORMAT_VERSION = 1
 
 
 class TrainAbort(RuntimeError):
-    """Raised when the loop hits a non-finite loss; the message carries the
-    epoch, optimizer step, and learning rate at the failure point."""
+    """Raised when the loop hits a non-finite loss or gradient; the message
+    carries the epoch, optimizer step, and learning rate at the failure
+    point, and for a gradient the first parameter holding a non-finite
+    entry."""
 
 
 @dataclass
@@ -295,7 +299,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Layout: b"SWQK", format version (u32 LE), header length (u32 LE),
     UTF-8 JSON header, then the payload: the weights, optimizer m and v, and
     best-snapshot groups, each one block of little-endian float32 in
-    param_layout order, at the offsets in the header's tensor directory."""
+    param_layout order, at the offsets in the header's tensor directory.
+    The file is written under a temporary name and renamed over `path`."""
     cfg = ckpt.config
     if (ckpt.best_params is None) != (ckpt.best_epoch is None):
         raise ValueError("best_params and best_epoch must be set together")
@@ -327,12 +332,21 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
                    "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps},
               "tensors": _directory(cfg, weights, ["", *groups])}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
-        f.write(blob)
-        f.write(weights)
-        for flat in groups.values():
-            f.write(np.ascontiguousarray(flat, dtype="<f4"))
+    # write beside the target, then rename over it: an interrupted or failed
+    # write leaves the previous checkpoint whole
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
+            f.write(blob)
+            f.write(weights)
+            for flat in groups.values():
+                f.write(np.ascontiguousarray(flat, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -486,6 +500,12 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             loss_sum += loss_val * len(idx)
             if acc_count == cfg.grad_accum_steps or b == batches_per_epoch - 1:
                 grad /= acc_count
+                if not math.isfinite(grad @ grad):  # NaN/inf, or a finite overflow
+                    bad = next((name for name, view in param_views(scfg, grad).items()
+                                if not np.isfinite(view).all()), None)
+                    if bad is not None:
+                        raise TrainAbort(f"non-finite gradient in {bad} at epoch "
+                                         f"{epoch + 1}, step {step}, lr {lr:.6g}")
                 adamw_step(weights, grad, optim, lr, cfg.weight_decay)
                 grad[...] = 0.0
                 acc_count = 0

@@ -291,3 +291,91 @@ def test_float32_mode_produces_float32():
     with using_dtype("float32"):
         t = Tensor([1.0]) * 2.0
         assert t.data.dtype == np.float32
+
+
+# ------------------------------------------------------- float32 fast paths
+
+
+def test_gelu_float32_phi_error_bound():
+    x = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+    _, phi32 = T._gelu_f32(x, keep_phi=True)
+    phi64 = 0.5 * (1.0 + T.erf(x.astype(np.float64) / np.sqrt(2.0)))
+    assert phi32.dtype == np.float32
+    assert np.abs(phi32 - phi64).max() <= 2.5e-7
+    tails = np.abs(x) >= 4.0 * np.sqrt(2.0)
+    assert np.array_equal(phi32[tails], (x[tails] > 0).astype(np.float32))
+    with using_dtype("float32"):
+        y = gelu(Tensor([-10.0, 10.0])).data
+    assert y[0] == 0.0 and y[1] == 10.0
+
+
+def test_gelu_float32_blocking_is_bit_exact():
+    block = T._GELU_BLOCK
+    x = np.random.default_rng(5).standard_normal(4 * block + 64).astype(np.float32) * 4
+    with using_dtype("float32"):
+        whole = gelu(Tensor(x)).data
+        assert np.array_equal(gelu(Tensor(x, requires_grad=True)).data, whole)
+        for a in (0, 3, block + 9):
+            for size in (1, block - 1, block + 1, 3 * block + 7):
+                piece = gelu(Tensor(x[a:a + size])).data
+                assert np.array_equal(piece, whole[a:a + size]), (a, size)
+
+
+def _layer_norm_case(rng, shape):
+    d = shape[-1]
+    gamma = rng.standard_normal(d) * 0.5 + 1.0
+    beta = rng.standard_normal(d) * 0.5
+    return (lambda x, g, b: layer_norm(x, g, b)), [rng.standard_normal(shape) * 3 + 1,
+                                                   gamma, beta]
+
+
+FLOAT32_CASES = {
+    "layer_norm": _layer_norm_case,
+    "softmax": lambda rng, shape: (lambda x: softmax(x, axis=-1),
+                                   [rng.standard_normal(shape) * 4]),
+    "softmax_axis0": lambda rng, shape: (lambda x: softmax(x, axis=0),
+                                         [rng.standard_normal(shape) * 4]),
+    "gelu": lambda rng, shape: (gelu, [rng.standard_normal(shape) * 3]),
+}
+
+
+def _run_op(f, arrays, weight, dtype):
+    with using_dtype(dtype):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        y = f(*leaves)
+        backward((y * Tensor(weight)).sum())
+        return y.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+@pytest.mark.parametrize("shape", [(7, 16), (2, 3, 5, 24), (1, 96)])
+def test_float32_ops_match_float64(name, shape):
+    rng = np.random.default_rng([sorted(FLOAT32_CASES).index(name), *shape])
+    f, arrays = FLOAT32_CASES[name](rng, shape)
+    weight = rng.standard_normal(shape)
+    y32, g32 = _run_op(f, arrays, weight, "float32")
+    y64, g64 = _run_op(f, arrays, weight, "float64")
+    assert y32.dtype == np.float32 and all(g.dtype == np.float32 for g in g32)
+    for got, want in zip([y32, *g32], [y64, *g64]):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+def test_ops_leave_inputs_in_shared_buffer_unchanged(name, dtype):
+    """Inputs as views of one flat buffer, as training keeps its weights:
+    forward and backward must not write into any of them."""
+    rng = np.random.default_rng(3)
+    f, arrays = FLOAT32_CASES[name](rng, (4, 5, 12))
+    with using_dtype(dtype):
+        flat = np.concatenate([a.ravel() for a in arrays]).astype(dtype)
+        before = flat.copy()
+        leaves, start = [], 0
+        for a in arrays:
+            leaves.append(Tensor(flat[start:start + a.size].reshape(a.shape),
+                                 requires_grad=True))
+            start += a.size
+        assert all(np.shares_memory(t.data, flat) for t in leaves)
+        y = f(*leaves)
+        backward((y * Tensor(rng.standard_normal(y.shape))).sum())
+    assert np.array_equal(flat, before)

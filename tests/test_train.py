@@ -4,12 +4,14 @@ oracle, checkpoint byte round trips, and training-loop semantics
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from oracles import adamw_per_name, pair_count_auc
+from swinqa import train as train_module
 from swinqa.data import SynthSpec, synth_foreign_object
 from swinqa.swin import count_params, init_params, param_views, preset
 from swinqa.tensor import ShapeError, Tensor, using_dtype
@@ -352,6 +354,37 @@ def test_train_config_validation():
         TrainConfig(model="micro", base_lr=-1e-4)
 
 
+class _PayloadWriteFails:
+    """File stand-in whose payload (array) writes raise, as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if isinstance(data, np.ndarray):
+            raise OSError(28, "No space left on device")
+        return self.f.write(data)
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.swq")
+    save_checkpoint(path, micro_checkpoint(with_optim=False, with_best=False))
+    before = open(path, "rb").read()
+    monkeypatch.setattr(train_module, "open",
+                        lambda name, mode: _PayloadWriteFails(open(name, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, micro_checkpoint())
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["c.swq"]
+
+
 # ------------------------------------------------------------ training loop
 
 
@@ -409,6 +442,47 @@ def test_train_nan_params_abort(tmp_path):
     cfg = micro_train_cfg(epochs=1, warmup_epochs=0, checkpoint_in=poisoned)
     with pytest.raises(TrainAbort, match="epoch 1"):
         train(cfg, records(4), records(4))
+
+
+def _train_with_gradient_edit(monkeypatch, edit):
+    """Train one micro epoch, applying edit(params) after every backward."""
+    params = {}
+    flat_params, backward = train_module._flat_params, train_module.backward
+
+    def capture(*args):
+        weights, grad, named = flat_params(*args)
+        params.update(named)
+        return weights, grad, named
+
+    def edited_backward(loss):
+        backward(loss)
+        edit(params)
+
+    monkeypatch.setattr(train_module, "_flat_params", capture)
+    monkeypatch.setattr(train_module, "backward", edited_backward)
+    return train(micro_train_cfg(epochs=1, warmup_epochs=0), records(4), records(4))
+
+
+def test_train_aborts_naming_first_non_finite_gradient(monkeypatch):
+    names = list(param_views(preset("micro"), np.zeros(count_params(preset("micro")))))
+
+    def poison(params):
+        params[names[40]].grad.reshape(-1)[-1] = np.inf
+        params[names[10]].grad.reshape(-1)[0] = np.nan
+
+    want = rf"non-finite gradient in {names[10]} at epoch 1, step 0, lr 0\.0005$"
+    with pytest.raises(TrainAbort, match=want):
+        _train_with_gradient_edit(monkeypatch, poison)
+
+
+def test_train_carries_on_when_only_the_gradient_norm_overflows(monkeypatch):
+    def huge(params):
+        params["head.weight"].grad[...] = 1e18  # 384 * 1e36 > float32 max
+
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        ckpt = _train_with_gradient_edit(monkeypatch, huge)
+    assert ckpt.epoch == 1 and ckpt.optim.t == 1
+    assert all(np.isfinite(p.data).all() for p in ckpt.params.values())
 
 
 def test_train_rejects_empty_splits():
