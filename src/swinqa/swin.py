@@ -29,7 +29,9 @@ from .tensor import (
     gelu,
     layer_norm,
     matmul,
-    softmax,
+    softmax,  # not called here; tools that trace the model wrap swin.softmax
+    softmax_grad_inplace,
+    softmax_inplace,
 )
 
 NEG = -1e9  # additive mask value; large but finite so softmax gradients stay defined
@@ -325,7 +327,12 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
                      bias: RelPosBias | None, mask: AttentionMask | None,
                      heads: int) -> WindowSet:
     """Multi-head self-attention inside each window, shared weights across
-    windows: softmax(QK^T/sqrt(d) + B + mask) V, then output projection."""
+    windows: softmax(QK^T/sqrt(d) + B + mask) V, then output projection.
+
+    One graph node with a hand-written backward. Its parents are the window
+    values, the four projection parameters and the bias table. qkv and the
+    projection are 2-D GEMMs over all B*nW*n tokens, q/k/v are strided
+    views of the qkv buffer, and the scores are softmaxed in place."""
     b, n_windows, n, d_model = ws.values.shape
     if d_model % heads:
         raise ShapeError(f"dim {d_model} not divisible by {heads} heads")
@@ -333,19 +340,60 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
         raise ShapeError(f"mask for {mask.n_windows} windows of {mask.window} "
                          f"does not match window set ({n_windows}, {ws.window})")
     d_head = d_model // heads
-    qkv = matmul(ws.values, qkv_weight) + qkv_bias
-    qkv = qkv.reshape(b, n_windows, n, 3, heads, d_head).transpose(3, 0, 1, 4, 2, 5)
-    q, k, v = qkv[0], qkv[1], qkv[2]  # each [B, nW, heads, n, d_head]
-    attn = matmul(q * (d_head ** -0.5), k.transpose(0, 1, 2, 4, 3))
+    scale = d_head ** -0.5
+    x = ws.values
+    parents = (x, qkv_weight, qkv_bias, proj_weight, proj_bias)
     if bias is not None:
-        bmat = (bias.table.take_rows(bias.index.reshape(-1))
-                .reshape(n, n, heads).transpose(2, 0, 1))
-        attn = attn + bmat
+        parents += (bias.table,)
+
+    def head_views(buf):
+        """q, k, v as [B*nW, heads, n, d_head] views of a [rows, 3*d_model]
+        buffer, whose columns run over (q/k/v, head, d_head)."""
+        t = buf.reshape(b * n_windows, n, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+        return t[0], t[1], t[2]
+
+    # one row per token: rows = B*nW*n
+    x2 = x.data.reshape(-1, d_model)
+    qkv = x2 @ qkv_weight.data
+    qkv += qkv_bias.data
+    q, k, v = head_views(qkv)
+    p = q @ k.swapaxes(-1, -2)  # [B*nW, heads, n, n]
+    p *= scale
+    if bias is not None:
+        p += bias.table.data[bias.index].transpose(2, 0, 1)
     if mask is not None:
-        attn = attn + Tensor(mask.values[None, :, None, :, :])
-    attn = softmax(attn, axis=-1)
-    out = matmul(attn, v).transpose(0, 1, 3, 2, 4).reshape(b, n_windows, n, d_model)
-    out = matmul(out, proj_weight) + proj_bias
+        p_win = p.reshape(b, n_windows, heads, n, n)
+        p_win += mask.values[:, None]
+    softmax_inplace(p)
+    # A.V lands straight in token-major [rows, d_model] order
+    o = np.empty((b * n_windows, n, heads, d_head), dtype=p.dtype)
+    np.matmul(p, v, out=o.transpose(0, 2, 1, 3))
+    o = o.reshape(-1, d_model)
+    y = o @ proj_weight.data
+    y += proj_bias.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, d_model)
+        proj_bias._accumulate(g2.sum(axis=0))
+        proj_weight._accumulate(o.T @ g2)
+        do = (g2 @ proj_weight.data.T).reshape(b * n_windows, n, heads, d_head)
+        do = do.transpose(0, 2, 1, 3)
+        dqkv = np.empty_like(qkv)
+        dq, dk, dv = head_views(dqkv)
+        np.matmul(p.swapaxes(-1, -2), do, out=dv)
+        ds = softmax_grad_inplace(do @ v.swapaxes(-1, -2), p)
+        if bias is not None:
+            g_table = np.zeros_like(bias.table.data)
+            np.add.at(g_table, bias.index, ds.sum(axis=0).transpose(1, 2, 0))
+            bias.table._accumulate(g_table)
+        ds *= scale
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        qkv_bias._accumulate(dqkv.sum(axis=0))
+        qkv_weight._accumulate(x2.T @ dqkv)
+        x._accumulate((dqkv @ qkv_weight.data.T).reshape(x.data.shape))
+
+    out = Tensor._from_op(y.reshape(b, n_windows, n, d_model), parents, bwd)
     return WindowSet(ws.window, d_model, ws.grid, out)
 
 

@@ -145,8 +145,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -317,31 +319,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if b.ndim == 2:
+            # a 2-D weight: fold the leading axes into rows, so each gradient
+            # is one 2-D GEMM and the weight's needs no broadcast sum
+            g2 = g.reshape(-1, g.shape[-1])
+            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
+        else:
+            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`; rows sum to 1."""
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        gx = g * y
-        inner = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=gx)
-        gx *= y
-        x._accumulate(gx)
-
-    return Tensor._from_op(y, (x,), bwd)
 
 
 def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a * b over the last axis, kept as a length-1 axis."""
     return np.einsum("...i,...i->...", a, b)[..., None]
+
+
+def softmax_inplace(y: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis of `y`, in place.
+
+    The row max is a running np.maximum over the columns and the row sum an
+    einsum: over a short last axis (attention windows) both are several
+    times faster than max/sum(axis=-1), and the max is the same value.
+    """
+    mx = y[..., 0].copy()
+    for j in range(1, y.shape[-1]):
+        np.maximum(mx, y[..., j], out=mx)
+    y -= mx[..., None]
+    np.exp(y, out=y)
+    y /= np.einsum("...i->...", y)[..., None]
+    return y
+
+
+def softmax_grad_inplace(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Input gradient of a last-axis softmax with output `p`, written over
+    the output gradient `dp`: p * (dp - rowsum(dp * p))."""
+    dp -= _dot_last(dp, p)
+    dp *= p
+    return dp
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along `axis`; rows sum to 1."""
+    y = x.data.copy()
+    softmax_inplace(np.moveaxis(y, axis, -1))
+
+    def bwd(g):
+        gx = g.copy()
+        softmax_grad_inplace(np.moveaxis(gx, axis, -1), np.moveaxis(y, axis, -1))
+        x._accumulate(gx)
+
+    return Tensor._from_op(y, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

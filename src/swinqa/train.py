@@ -183,13 +183,18 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
 def auc_roc(scores, labels):
     """Probability that a random positive outscores a random negative, ties
     at 1/2 — computed in exact rational arithmetic over tie groups. Returns
-    None when only one class is present."""
+    None when only one class is present; a NaN or infinite score raises
+    ValueError."""
     scores = list(scores)
     labels = [int(y) for y in labels]
     if len(scores) != len(labels):
         raise ValueError(f"{len(scores)} scores vs {len(labels)} labels")
     if any(y not in (0, 1) for y in labels):
         raise ValueError("labels must be 0 or 1")
+    for i, s in enumerate(scores):
+        # a NaN would also never close its tie group below (NaN != NaN)
+        if not math.isfinite(s):
+            raise ValueError(f"score {i} is {s!r}; AUC needs finite scores")
     n_pos = sum(labels)
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -241,6 +241,19 @@ def test_train_nan_abort_exits_2(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_eval_nan_checkpoint_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    params = init_params(scfg, np.random.default_rng(0))
+    params["head.weight"].data[:] = np.nan
+    poisoned = str(tmp_path / "nan.swq")
+    save_checkpoint(poisoned, Checkpoint(config=scfg, params=params))
+    assert main(["eval", "--checkpoint", poisoned, "--manifest", manifest,
+                 "--split", "test", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nan" in err and "Traceback" not in err
+
+
 def test_resume_from_cli_checkpoint(tmp_path, capsys):
     manifest = synth_small(tmp_path)
     leg1_out = str(tmp_path / "leg1")

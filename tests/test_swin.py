@@ -3,6 +3,8 @@ identities, and attention against brute-force oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracles import (
     dense_window_attention,
     mask_zero_counts,
@@ -35,7 +37,15 @@ from swinqa.swin import (
     window_partition,
     window_reverse,
 )
-from swinqa.tensor import ShapeError, Tensor, backward, grad_check, no_grad, using_dtype
+from swinqa.tensor import (
+    ShapeError,
+    Tensor,
+    backward,
+    concat,
+    grad_check,
+    no_grad,
+    using_dtype,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -371,6 +381,144 @@ def test_sw_msa_matches_region_oracle():
             assert np.abs(got - want).max() < 1e-5
 
 
+# ------------------------------------------------- fused attention op
+
+ATTN_ARGS = ("x", "qkv_w", "qkv_b", "proj_w", "proj_b", "table")
+
+
+def attn_inputs(rng, batch=2, grid=(8, 8), m=4, dim=8, heads=2):
+    """Window values and the five attention parameters as float64 arrays."""
+    arrays = rand_attn_params(rng, dim, heads, m)
+    arrays["x"] = rng.standard_normal((batch, (grid[0] // m) * (grid[1] // m), m * m, dim))
+    return arrays
+
+
+def fused_attention(t, mask, grid=(8, 8), m=4, heads=2) -> Tensor:
+    """window_attention on a dict of ATTN_ARGS tensors; returns the values."""
+    ws = swin.WindowSet(m, t["x"].shape[-1], grid, t["x"])
+    return window_attention(ws, t["qkv_w"], t["qkv_b"], t["proj_w"], t["proj_b"],
+                            rel_pos_bias(t["table"], m), mask, heads).values
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("wrt", ATTN_ARGS)
+def test_window_attention_grad_check(wrt, shifted):
+    rng = np.random.default_rng([ATTN_ARGS.index(wrt), shifted])
+    tensors = {k: Tensor(a) for k, a in attn_inputs(rng).items()}
+    mask = build_sw_attention_mask(8, 8, 4, 2) if shifted else None
+    mix = Tensor(rng.standard_normal(tensors["x"].shape))
+
+    def f(t):
+        return (fused_attention({**tensors, wrt: t}, mask) * mix).sum()
+
+    probe, f_probe = tensors[wrt], f
+    if wrt == "qkv_b":
+        # a key bias adds the same q.b_k to every score of a row, which the
+        # softmax cancels: its true gradient is 0, where finite differences
+        # leave only rounding noise. Check it is 0 and probe q and v biases.
+        d = probe.size // 3
+        q_b, k_b, v_b = np.split(probe.data, 3)
+        leaf = Tensor(probe.data, requires_grad=True)
+        backward(f(leaf))
+        assert np.abs(leaf.grad[d:2 * d]).max() < 1e-12 * np.abs(leaf.grad).max()
+        probe = Tensor(np.concatenate([q_b, v_b]))
+
+        def f_probe(t):
+            return f(concat([t[:d], Tensor(k_b), t[d:]], axis=0))
+
+    assert grad_check(f_probe, probe) < 1e-4
+
+
+def run_fused_attention(arrays, weight, dtype, shifted, grads=None):
+    """Forward and backward of (attention * weight).sum() at `dtype`; returns
+    the output and every input gradient. `grads` optionally presets each
+    leaf's .grad (e.g. views of one flat buffer, as training does)."""
+    with using_dtype(dtype):
+        mask = build_sw_attention_mask(8, 8, 4, 2) if shifted else None
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        for k, g in (grads or {}).items():
+            t[k].grad = g
+        y = fused_attention(t, mask)
+        backward((y * Tensor(weight)).sum())
+        return [y.data] + [t[k].grad for k in ATTN_ARGS]
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_window_attention_float32_matches_float64(shifted):
+    rng = np.random.default_rng(31 + shifted)
+    arrays = attn_inputs(rng)
+    weight = rng.standard_normal(arrays["x"].shape)
+    got32 = run_fused_attention(arrays, weight, "float32", shifted)
+    got64 = run_fused_attention(arrays, weight, "float64", shifted)
+    for got, want in zip(got32, got64):
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_window_attention_leaves_shared_buffer_unchanged(dtype):
+    """Inputs as views of one flat buffer and gradients as views of another,
+    as training keeps them: the op writes into neither input, and every
+    gradient lands in its view."""
+    rng = np.random.default_rng(33)
+    arrays = attn_inputs(rng)
+    weight = rng.standard_normal(arrays["x"].shape)
+    flat = np.concatenate([arrays[k].ravel() for k in ATTN_ARGS]).astype(dtype)
+    before = flat.copy()
+    flat_grad = np.zeros_like(flat)
+    views, grads, start = {}, {}, 0
+    for k in ATTN_ARGS:
+        size = arrays[k].size
+        views[k] = flat[start:start + size].reshape(arrays[k].shape)
+        grads[k] = flat_grad[start:start + size].reshape(arrays[k].shape)
+        start += size
+    with using_dtype(dtype):  # the leaves wrap the views, no copies
+        assert all(np.shares_memory(Tensor(v).data, flat) for v in views.values())
+    got = run_fused_attention(views, weight, dtype, True, grads)
+    assert np.array_equal(flat, before)
+    want = run_fused_attention(arrays, weight, dtype, True)
+    for k, g_flat, g, g_fresh in zip(ATTN_ARGS, grads.values(), got[1:], want[1:]):
+        assert g is g_flat, k
+        assert np.array_equal(g, g_fresh), k
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_window_attention_no_grad_output_matches_recording(dtype, shifted):
+    arrays = attn_inputs(np.random.default_rng(34))
+    with using_dtype(dtype):
+        mask = build_sw_attention_mask(8, 8, 4, 2) if shifted else None
+        recorded = fused_attention({k: Tensor(a, requires_grad=True)
+                                    for k, a in arrays.items()}, mask)
+        with no_grad():
+            plain = fused_attention({k: Tensor(a, requires_grad=True)
+                                     for k, a in arrays.items()}, mask)
+    assert recorded._parents and not plain._parents and plain._backward is None
+    assert np.array_equal(plain.data, recorded.data)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(heads=st.integers(1, 3), m=st.integers(1, 3), d_head=st.integers(1, 3),
+       batch=st.integers(1, 2), tiles=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       shifted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_window_attention_random_shapes_match_dense_oracle(
+        heads, m, d_head, batch, tiles, shifted, seed):
+    dim, grid = heads * d_head, (tiles[0] * m, tiles[1] * m)
+    rng = np.random.default_rng(seed)
+    with using_dtype("float64"):
+        arrays = attn_inputs(rng, batch, grid, m, dim, heads)
+        mask = build_sw_attention_mask(*grid, m, m // 2) if shifted else None
+        got = fused_attention({k: Tensor(a) for k, a in arrays.items()},
+                              mask, grid, m, heads).data
+    for bi in range(batch):
+        want = dense_window_attention(
+            arrays["x"][bi], arrays["qkv_w"], arrays["qkv_b"], arrays["proj_w"],
+            arrays["proj_b"], arrays["table"], relative_position_index(m),
+            None if mask is None else np.asarray(mask.values), heads)
+        assert np.abs(got[bi] - want).max() < 1e-10
+
+
 # ------------------------------------------------------------ blocks
 
 
@@ -448,6 +596,28 @@ def test_swin_block_torus_constant_shift_symmetry():
         shifted = swin_block(fm, bp, window=4, heads=2, shifted=True)
         plain = swin_block(fm, bp, window=4, heads=2, shifted=False)
         assert np.abs(shifted.values.data - plain.values.data).max() < 1e-10
+
+
+def graph_nodes(t: Tensor) -> int:
+    """Op nodes (tensors with a backward rule) reachable from t."""
+    seen, stack, count = set(), [t], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+@pytest.mark.parametrize("shifted,limit", [(False, 16), (True, 22)])
+def test_swin_block_graph_node_count(shifted, limit):
+    """Attention is one node: the block's graph stays at its layer count."""
+    rng = np.random.default_rng(35)
+    bp = rand_block_params(rng, 8, 2, 4)
+    x = Tensor(rng.standard_normal((1, 64, 8)), requires_grad=True)
+    out = swin_block(FeatureMap(8, 8, 8, x), bp, window=4, heads=2, shifted=shifted)
+    assert graph_nodes(out.values) <= limit
 
 
 def test_swin_block_gradcheck_shifted():

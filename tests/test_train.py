@@ -176,6 +176,14 @@ def test_auc_trivial_cases():
         auc_roc([0.1, 0.2], [1])
 
 
+@pytest.mark.parametrize("scores", [[float("nan"), 0.5], [0.5, float("inf")],
+                                    [float("nan"), float("nan")]])
+def test_auc_rejects_non_finite_scores(scores):
+    bad = next(i for i, s in enumerate(scores) if not np.isfinite(s))
+    with pytest.raises(ValueError, match=f"score {bad} is"):
+        auc_roc(scores, [0, 1])
+
+
 def test_auc_matches_pair_counting_exactly():
     rng = np.random.default_rng(3)
     for trial in range(300):
