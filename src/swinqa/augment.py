@@ -80,16 +80,20 @@ class LabeledBatch:
 # ------------------------------------------------------- resize / normalize
 
 
-def to_rgb01(image: np.ndarray) -> np.ndarray:
-    """Float [h, w, 3] view of a grayscale or color image."""
+def _channels01(image: np.ndarray) -> np.ndarray:
+    """Float [h, w, 1] (grayscale) or [h, w, 3] (color) view of an image."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
-    if img.shape[-1] == 1:
-        img = np.repeat(img, 3, axis=-1)
-    if img.ndim != 3 or img.shape[-1] != 3:
+    if img.ndim != 3 or img.shape[-1] not in (1, 3):
         raise ValueError(f"expected [h, w], [h, w, 1] or [h, w, 3], got {image.shape}")
     return img
+
+
+def to_rgb01(image: np.ndarray) -> np.ndarray:
+    """Float [h, w, 3] view of a grayscale or color image."""
+    img = _channels01(image)
+    return img if img.shape[-1] == 3 else np.repeat(img, 3, axis=-1)
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -112,16 +116,30 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def normalize(img: np.ndarray, cfg: AugConfig) -> np.ndarray:
-    mean = np.asarray(cfg.normalize_mean)
-    std = np.asarray(cfg.normalize_std)
-    return (img - mean) / std
+def normalize(img: np.ndarray, cfg: AugConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """(img - mean) / std for each of the three channels, written into
+    `out` (new when None) channel by channel: over a 3-wide last axis
+    that is several times faster than broadcasting, with the same
+    float64 ops. A 1-channel img feeds all three channels."""
+    if out is None:
+        out = np.empty(img.shape[:-1] + (3,))
+    for c, (mean, std) in enumerate(zip(cfg.normalize_mean, cfg.normalize_std)):
+        oc = out[..., c]
+        np.subtract(img[..., c if img.shape[-1] == 3 else 0], mean, out=oc)
+        oc /= std
+    return out
 
 
-def resize_normalize(image: np.ndarray, out_h: int, out_w: int, cfg: AugConfig) -> np.ndarray:
+def resize_normalize(image: np.ndarray, out_h: int, out_w: int, cfg: AugConfig,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Grayscale-tolerant bilinear resize to [out_h, out_w, 3], then
-    per-channel standardization."""
-    return normalize(bilinear_resize(to_rgb01(image), out_h, out_w), cfg)
+    per-channel standardization into `out` (new when None). A grayscale
+    image is resized as one plane, and an image already at the size is
+    read in place."""
+    img = _channels01(image)
+    if img.shape[:2] != (out_h, out_w):
+        img = bilinear_resize(img, out_h, out_w)
+    return normalize(img, cfg, out)
 
 
 # ------------------------------------------------------------------ mixing
@@ -372,13 +390,16 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     soft = _one_hot(labels, num_classes)
-    resized = np.stack([bilinear_resize(to_rgb01(im), size, size) for im in images])
     if mode == "eval":
         if rng is not None:
             raise ValueError("eval pipeline is deterministic; rng must be None")
-        return normalize(resized, cfg), soft
+        out = np.empty((len(images), size, size, 3))
+        for im, o in zip(images, out):
+            resize_normalize(im, size, size, cfg, out=o)
+        return out, soft
     if rng is None:
         raise ValueError("train pipeline needs an rng")
+    resized = np.stack([bilinear_resize(to_rgb01(im), size, size) for im in images])
     augd = np.stack([
         color_jitter(rand_augment(im, cfg.randaug_n, cfg.randaug_magnitude, rng),
                      cfg.jitter_strength, rng)

@@ -22,19 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    LN_EPS,
     ShapeError,
     Tensor,
     concat,
     default_dtype,
-    gelu,
+    gelu,  # not called here; tools that trace the model wrap swin.gelu
+    gelu_bwd,
+    gelu_fwd,
     layer_norm,
+    layer_norm_bwd,
+    layer_norm_fwd,
     matmul,
+    records_graph,
     softmax,  # not called here; tools that trace the model wrap swin.softmax
     softmax_grad_inplace,
     softmax_inplace,
 )
 
 NEG = -1e9  # additive mask value; large but finite so softmax gradients stay defined
+# mlp_branch works on blocks of rows: about _MLP_BLOCK hidden activations
+# (512 KB in float32) stay in cache from fc1 to fc2, and at least
+# _MLP_MIN_ROWS rows share each pass over the weights
+_MLP_BLOCK = 1 << 17
+_MLP_MIN_ROWS = 512
 
 _PRESETS = {
     # name: (embed_dim, depths, heads, drop_path_max, default img, default window)
@@ -397,12 +408,77 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
     return WindowSet(ws.window, d_model, ws.grid, out)
 
 
-def _drop_path(v: Tensor, drop_prob: float, rng) -> Tensor:
-    """Zero the residual branch per sample with probability drop_prob,
-    scaling survivors by 1/keep so the expectation is unchanged."""
+def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, fc1_weight: Tensor,
+               fc1_bias: Tensor, fc2_weight: Tensor, fc2_bias: Tensor,
+               gate: np.ndarray | None = None) -> Tensor:
+    """Pre-norm MLP residual branch: x + gate * (GELU(LN(x) W1 + b1) W2 + b2).
+
+    One graph node with a hand-written backward. Its parents are x and the
+    six parameters; `gate` is a constant per-sample factor along axis 0 of
+    x (the stochastic-depth draw), or None for 1. Both GEMMs are 2-D, over
+    blocks of rows whose hidden activations fit in cache, and the biases,
+    the GELU, the gate and the residual are applied in place. Without a
+    graph, one block of hidden activations is all the op allocates beyond
+    its output, so eval-mode forwards touch few fresh pages."""
+    d, hid = fc1_weight.shape
+    shapes = [t.shape for t in (gamma, beta, fc1_bias, fc2_weight, fc2_bias)]
+    if x.shape[-1] != d or shapes != [(d,), (d,), (hid,), (hid, d), (d,)]:
+        raise ShapeError(f"mlp branch on {x.shape} with fc1 weight {fc1_weight.shape}: "
+                         f"gamma, beta, fc1 bias, fc2 weight, fc2 bias are {shapes}")
+    if gate is not None:
+        if gate.shape != x.shape[:1]:
+            raise ShapeError(f"gate {gate.shape} is not one factor per sample of {x.shape}")
+        gate = gate.reshape((-1,) + (1,) * (x.ndim - 1))
+    parents = (x, gamma, beta, fc1_weight, fc1_bias, fc2_weight, fc2_bias)
+    records = records_graph(parents)
+
+    # one row per token: rows = B*T
+    n, xhat, inv_std = layer_norm_fwd(x.data.reshape(-1, d), gamma.data, beta.data,
+                                      LN_EPS, keep_xhat=records)
+    rows = len(n)
+    step = max(_MLP_MIN_ROWS, _MLP_BLOCK // hid)
+    if records:  # the backward reads the pre-activation, Phi and the activation
+        a, phi, h = np.empty((3, rows, hid), dtype=n.dtype)
+        y = np.empty_like(n)
+    else:  # one block of scratch, activated in place; the output overwrites n
+        a = h = np.empty((min(step, rows), hid), dtype=n.dtype)
+        phi, y = None, n
+    for start in range(0, rows, step):
+        blk = slice(start, min(start + step, rows))
+        kept = blk if records else slice(0, blk.stop - start)
+        np.matmul(n[blk], fc1_weight.data, out=a[kept])
+        a[kept] += fc1_bias.data
+        gelu_fwd(a[kept], out=h[kept], phi=None if phi is None else phi[kept])
+        np.matmul(h[kept], fc2_weight.data, out=y[blk])
+    y += fc2_bias.data
+    y = y.reshape(x.shape)
+    if gate is not None:
+        y *= gate
+    y += x.data
+
+    def bwd(g):
+        gy = (g if gate is None else g * gate).reshape(-1, d)
+        fc2_bias._accumulate(gy.sum(axis=0))
+        fc2_weight._accumulate(h.T @ gy)
+        da = gelu_bwd(gy @ fc2_weight.data.T, a, phi)
+        fc1_bias._accumulate(da.sum(axis=0))
+        fc1_weight._accumulate(n.T @ da)
+        dx, d_gamma, d_beta = layer_norm_bwd(da @ fc1_weight.data.T, xhat, inv_std,
+                                             gamma.data)
+        gamma._accumulate(d_gamma)
+        beta._accumulate(d_beta)
+        dx = dx.reshape(x.shape)
+        dx += g
+        x._accumulate(dx)
+
+    return Tensor._from_op(y, parents, bwd)
+
+
+def _drop_path_gate(batch: int, drop_prob: float, rng, dtype) -> np.ndarray:
+    """Per-sample stochastic-depth factors: 0 with probability drop_prob,
+    else 1/keep so the branch's expectation is unchanged."""
     keep = 1.0 - drop_prob
-    gate = (rng.random(v.shape[0]) < keep).astype(v.data.dtype) / keep
-    return v * Tensor(gate.reshape(-1, 1, 1))
+    return (rng.random(batch) < keep).astype(dtype) / keep
 
 
 def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
@@ -417,6 +493,7 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     if training and drop_prob >= 1.0:
         return x  # both branches dropped with certainty
     shift = window // 2 if shifted else 0
+    drop = training and drop_prob > 0.0
 
     h = layer_norm(x.values, bp["norm1.gamma"], bp["norm1.beta"])
     hm = FeatureMap(x.height, x.width, x.dim, h)
@@ -432,16 +509,16 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     if shift:
         hm = cyclic_shift(hm, shift)
     branch = hm.values
-    if training and drop_prob > 0.0:
-        branch = _drop_path(branch, drop_prob, rng)
+    dtype = branch.data.dtype
+    if drop:
+        branch = branch * Tensor(
+            _drop_path_gate(x.batch, drop_prob, rng, dtype).reshape(-1, 1, 1))
     x1 = x.values + branch
-
-    h2 = layer_norm(x1, bp["norm2.gamma"], bp["norm2.beta"])
-    h2 = matmul(gelu(matmul(h2, bp["mlp.fc1.weight"]) + bp["mlp.fc1.bias"]),
-                bp["mlp.fc2.weight"]) + bp["mlp.fc2.bias"]
-    if training and drop_prob > 0.0:
-        h2 = _drop_path(h2, drop_prob, rng)
-    return FeatureMap(x.height, x.width, x.dim, x1 + h2)
+    gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
+    out = mlp_branch(x1, bp["norm2.gamma"], bp["norm2.beta"],
+                     bp["mlp.fc1.weight"], bp["mlp.fc1.bias"],
+                     bp["mlp.fc2.weight"], bp["mlp.fc2.bias"], gate)
+    return FeatureMap(x.height, x.width, x.dim, out)
 
 
 def merge_2x2_concat(fm: FeatureMap) -> FeatureMap:

@@ -20,6 +20,7 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+LN_EPS = 1e-5  # layer-norm variance floor
 
 
 class ShapeError(ValueError):
@@ -79,9 +80,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _records_graph(parents: Sequence["Tensor"]) -> bool:
+def records_graph(parents: Sequence["Tensor"]) -> bool:
     """Whether an op on `parents` joins the autodiff graph."""
-    return _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+    return _GRAD_ENABLED and any(p._wants_grad() for p in parents)
 
 
 class Tensor:
@@ -107,7 +108,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _records_graph(parents):
+        if records_graph(parents):
             out.requires_grad = any(p.requires_grad for p in parents)
             out._parents = tuple(parents)
             out._backward = backward
@@ -143,6 +144,11 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
+    def _wants_grad(self) -> bool:
+        """Whether a gradient for this tensor is read: a leaf that requires
+        it, or an op node whose backward passes it on (not a constant)."""
+        return self.requires_grad or bool(self._parents)
+
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.empty_like(self.data)
@@ -165,8 +171,10 @@ class Tensor:
         out_data = a.data + b.data
 
         def bwd(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            if a._wants_grad():
+                a._accumulate(_unbroadcast(g, a.data.shape))
+            if b._wants_grad():
+                b._accumulate(_unbroadcast(g, b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -192,8 +200,10 @@ class Tensor:
         out_data = a.data * b.data
 
         def bwd(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            if a._wants_grad():
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            if b._wants_grad():
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -323,11 +333,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # a 2-D weight: fold the leading axes into rows, so each gradient
             # is one 2-D GEMM and the weight's needs no broadcast sum
             g2 = g.reshape(-1, g.shape[-1])
-            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
+            if a._wants_grad():
+                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            if b._wants_grad():
+                b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
         else:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+            if a._wants_grad():
+                a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+            if b._wants_grad():
+                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -374,7 +388,42 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept as a length-1 axis; an einsum row sum
+    is several times faster than mean(axis=-1) over a short last axis."""
+    return (np.einsum("...i->...", a) / a.shape[-1])[..., None]
+
+
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                   eps: float, keep_xhat: bool) -> tuple:
+    """Layer norm over the last axis of x: (out, xhat, inv_std), where
+    xhat is the standardized input and inv_std its per-row 1/std, the two
+    things the backward needs. Without keep_xhat the output overwrites
+    xhat, and xhat and inv_std come back as None."""
+    xhat = x - _mean_last(x)
+    inv_std = 1.0 / np.sqrt(_dot_last(xhat, xhat) / x.shape[-1] + eps)
+    xhat *= inv_std
+    out = np.multiply(xhat, gamma, out=None if keep_xhat else xhat)
+    out += beta
+    return (out, xhat, inv_std) if keep_xhat else (out, None, None)
+
+
+def layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                   gamma: np.ndarray) -> tuple:
+    """Gradients (dx, dgamma, dbeta) of a layer norm from the output
+    gradient g and layer_norm_fwd's xhat and inv_std; g is not written."""
+    d_beta = _unbroadcast(g, gamma.shape)
+    gx = g * xhat
+    d_gamma = _unbroadcast(gx, gamma.shape)
+    np.multiply(g, gamma, out=gx)
+    gx_xhat = _dot_last(gx, xhat) / xhat.shape[-1]
+    gx -= _mean_last(gx)
+    gx -= xhat * gx_xhat
+    gx *= inv_std
+    return gx, d_gamma, d_beta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
     """Standardize over the last axis, then scale/shift by gamma/beta."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -382,21 +431,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(_dot_last(xhat, xhat) / d + eps)
-    xhat *= inv_std
-    out_data = xhat * gamma.data
-    out_data += beta.data
+    out_data, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, eps,
+                                             keep_xhat=records_graph((x, gamma, beta)))
 
     def bwd(g):
-        beta._accumulate(_unbroadcast(g, beta.data.shape))
-        gx = g * xhat
-        gamma._accumulate(_unbroadcast(gx, gamma.data.shape))
-        np.multiply(g, gamma.data, out=gx)
-        gx_xhat = _dot_last(gx, xhat) / d
-        gx -= gx.mean(axis=-1, keepdims=True)
-        gx -= xhat * gx_xhat
-        gx *= inv_std
+        gx, d_gamma, d_beta = layer_norm_bwd(g, xhat, inv_std, gamma.data)
+        beta._accumulate(d_beta)
+        gamma._accumulate(d_gamma)
         x._accumulate(gx)
 
     return Tensor._from_op(out_data, (x, gamma, beta), bwd)
@@ -424,18 +465,19 @@ def _horner(coeffs: tuple, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple:
-    """(x * Phi(x), Phi(x) or None) for float32 x, block by block in
-    place; without keep_phi, Phi lives in one block of scratch only."""
+def _gelu_f32(x: np.ndarray, out: np.ndarray | None = None,
+              phi: np.ndarray | None = None) -> np.ndarray:
+    """x * Phi(x) for float32 x, block by block in place; see gelu_fwd.
+    Without `phi`, Phi lives in one block of scratch only."""
     xf = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty(xf.size, dtype=np.float32)
-    phi = np.empty_like(out) if keep_phi else None
+    out = np.empty(xf.size, dtype=np.float32) if out is None else out.reshape(-1)
+    phi_f = None if phi is None else phi.reshape(-1)
     z, z2, q, p = np.empty((4, min(_GELU_BLOCK, xf.size)), dtype=np.float32)
     for start in range(0, xf.size, _GELU_BLOCK):
         xb = xf[start:start + _GELU_BLOCK]
         n = xb.size
         zb, z2b, qb = z[:n], z2[:n], q[:n]
-        pb = p[:n] if phi is None else phi[start:start + n]
+        pb = p[:n] if phi_f is None else phi_f[start:start + n]
         np.multiply(xb, _INV_SQRT2, out=zb)
         np.clip(zb, -4.0, 4.0, out=zb)
         np.multiply(zb, zb, out=z2b)
@@ -444,32 +486,50 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple:
         pb /= _horner(_ERF_Q, z2b, qb)
         pb += 0.5
         np.multiply(xb, pb, out=out[start:start + n])
-    return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
+    return out.reshape(x.shape)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit x * Phi(x) in the erf form (no tanh fit).
+def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None,
+             phi: np.ndarray | None = None) -> np.ndarray:
+    """x * Phi(x), written into `out` (new when None; x itself works).
+    Phi(x), which the backward needs, is written into `phi` when given.
+    Both must be C-contiguous and shaped like x.
 
     float64 takes erf from scipy. float32 uses a clamped rational erf
     (Eigen's 7+5-coefficient fit) evaluated in place over blocks of
     _GELU_BLOCK elements: Phi is within 2.5e-7 of the exact value, and
     exactly 0 or 1 for |x| >= 4 sqrt(2).
     """
-    if x.data.dtype == np.float32:
-        out_data, phi_cdf = _gelu_f32(x.data, keep_phi=_records_graph((x,)))
-    else:
-        phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-        out_data = x.data * phi_cdf
+    if x.dtype == np.float32:
+        return _gelu_f32(x, out, phi)
+    p = np.multiply(x, _INV_SQRT2, out=phi)
+    erf(p, out=p)
+    p += 1.0
+    p *= 0.5
+    return np.multiply(x, p, out=out)
+
+
+def gelu_bwd(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Input gradient g * (x pdf(x) + Phi(x)) of x * Phi(x), built in one
+    fresh buffer; none of the arguments is written."""
+    dx = np.multiply(x, x)
+    dx *= -0.5
+    np.exp(dx, out=dx)
+    dx *= _INV_SQRT_2PI
+    dx *= x
+    dx += phi
+    dx *= g
+    return dx
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian-error linear unit x * Phi(x) in the erf form (no tanh fit);
+    see gelu_fwd for the float32 erf."""
+    phi_cdf = np.empty_like(x.data) if records_graph((x,)) else None
+    out_data = gelu_fwd(x.data, phi=phi_cdf)
 
     def bwd(g):
-        dx = np.multiply(x.data, x.data)
-        dx *= -0.5
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= x.data
-        dx += phi_cdf
-        dx *= g
-        x._accumulate(dx)
+        x._accumulate(gelu_bwd(g, x.data, phi_cdf))
 
     return Tensor._from_op(out_data, (x,), bwd)
 

@@ -504,7 +504,8 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             acc_count += 1
             loss_sum += loss_val * len(idx)
             if acc_count == cfg.grad_accum_steps or b == batches_per_epoch - 1:
-                grad /= acc_count
+                if acc_count > 1:  # dividing by 1 is exact: skip the pass
+                    grad /= acc_count
                 if not math.isfinite(grad @ grad):  # NaN/inf, or a finite overflow
                     bad = next((name for name, view in param_views(scfg, grad).items()
                                 if not np.isfinite(view).all()), None)

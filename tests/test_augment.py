@@ -337,6 +337,19 @@ def test_prepare_batch_eval_matches_resize_normalize():
     want = np.stack([resize_normalize(im, 16, 16, cfg) for im in images])
     assert np.array_equal(out, want)
     assert np.array_equal(soft, np.eye(2)[[0, 1, 1]])
+    # bit for bit the RGB-broadcast formula: gray at the target size, gray
+    # needing a resize, RGB at and off the size, and a batch mixing them
+    mean, std = np.asarray(cfg.normalize_mean), np.asarray(cfg.normalize_std)
+    cases = {"gray at size": [rng.random((16, 16)) for _ in range(2)],
+             "gray resized": [rng.random((20, 12)), rng.random((9, 30, 1))],
+             "rgb": [rng.random((16, 16, 3)), rng.random((24, 18, 3))]}
+    cases["mixed"] = [im for ims in cases.values() for im in ims]
+    for name, images in cases.items():
+        out, _ = prepare_batch(images, [0] * len(images), cfg, "eval", 16)
+        want = np.stack([(bilinear_resize(to_rgb01(im), 16, 16) - mean) / std
+                         for im in images])
+        assert out.shape == (len(images), 16, 16, 3), name
+        assert np.array_equal(out, want), name
 
 
 def test_prepare_batch_eval_rejects_rng_train_requires_it():

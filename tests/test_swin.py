@@ -25,6 +25,7 @@ from swinqa.swin import (
     init_params,
     linear_embed,
     merge_2x2_concat,
+    mlp_branch,
     param_layout,
     patch_merging,
     patch_partition,
@@ -42,7 +43,10 @@ from swinqa.tensor import (
     Tensor,
     backward,
     concat,
+    gelu,
     grad_check,
+    layer_norm,
+    matmul,
     no_grad,
     using_dtype,
 )
@@ -519,6 +523,146 @@ def test_window_attention_random_shapes_match_dense_oracle(
         assert np.abs(got[bi] - want).max() < 1e-10
 
 
+# ------------------------------------------------------ fused MLP op
+
+MLP_ARGS = ("x", "gamma", "beta", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
+GATE = np.array([0.0, 1.25])  # one sample dropped, one kept at 1/keep
+
+
+def mlp_inputs(rng, shape=(2, 6, 8), hid=12):
+    """Branch input and the six MLP-branch parameters as float64 arrays."""
+    d = shape[-1]
+    return {"x": rng.standard_normal(shape) * 2 + 0.5,
+            "gamma": 1.0 + 0.3 * rng.standard_normal(d), "beta": 0.3 * rng.standard_normal(d),
+            "fc1_w": 0.5 * rng.standard_normal((d, hid)), "fc1_b": 0.3 * rng.standard_normal(hid),
+            "fc2_w": 0.5 * rng.standard_normal((hid, d)), "fc2_b": 0.3 * rng.standard_normal(d)}
+
+
+def fused_mlp(t, gate=None) -> Tensor:
+    return mlp_branch(*(t[k] for k in MLP_ARGS), gate=gate)
+
+
+def composed_mlp(t, gate=None) -> Tensor:
+    """The same branch from the separate layer_norm/matmul/gelu ops."""
+    h = layer_norm(t["x"], t["gamma"], t["beta"])
+    h = matmul(gelu(matmul(h, t["fc1_w"]) + t["fc1_b"]), t["fc2_w"]) + t["fc2_b"]
+    if gate is not None:
+        h = h * Tensor(gate.reshape(-1, 1, 1))
+    return t["x"] + h
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("wrt", MLP_ARGS)
+def test_mlp_branch_grad_check(wrt, gated):
+    rng = np.random.default_rng([MLP_ARGS.index(wrt), gated])
+    tensors = {k: Tensor(a) for k, a in mlp_inputs(rng).items()}
+    mix = Tensor(rng.standard_normal(tensors["x"].shape))
+    gate = GATE if gated else None
+
+    def f(t):
+        return (fused_mlp({**tensors, wrt: t}, gate) * mix).sum()
+
+    assert grad_check(f, tensors[wrt]) < 1e-4
+
+
+def run_fused_mlp(arrays, weight, dtype, gate=None, grads=None):
+    """Forward and backward of (mlp_branch * weight).sum() at `dtype`;
+    returns the output and every input gradient. `grads` optionally
+    presets each leaf's .grad, as training does with its flat buffer."""
+    with using_dtype(dtype):
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        for k, g in (grads or {}).items():
+            t[k].grad = g
+        y = fused_mlp(t, gate)
+        backward((y * Tensor(weight)).sum())
+        return [y.data] + [t[k].grad for k in MLP_ARGS]
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_mlp_branch_float32_matches_float64(gated):
+    rng = np.random.default_rng(41 + gated)
+    arrays = mlp_inputs(rng, (2, 700, 24), 96)  # two row blocks, the last partial
+    arrays["fc1_b"][:2] = (7.0, -7.0)  # pre-activations beyond the float32 erf clamp
+    weight = rng.standard_normal(arrays["x"].shape)
+    gate = GATE if gated else None
+    got32 = run_fused_mlp(arrays, weight, "float32", gate)
+    got64 = run_fused_mlp(arrays, weight, "float64", gate)
+    for name, got, want in zip(("out",) + MLP_ARGS, got32, got64):
+        assert got.dtype == np.float32, name
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_mlp_branch_no_grad_output_matches_recording(dtype, gated):
+    arrays = mlp_inputs(np.random.default_rng(43), (2, 700, 24), 96)
+    assert 2 * 700 > max(swin._MLP_MIN_ROWS, swin._MLP_BLOCK // 96)  # two row blocks
+    gate = GATE if gated else None
+    with using_dtype(dtype):
+        recorded = fused_mlp({k: Tensor(a, requires_grad=True) for k, a in arrays.items()}, gate)
+        with no_grad():
+            plain = fused_mlp({k: Tensor(a, requires_grad=True)
+                               for k, a in arrays.items()}, gate)
+    assert recorded._parents and not plain._parents and plain._backward is None
+    assert np.array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_mlp_branch_leaves_shared_buffer_unchanged(dtype):
+    """Inputs as views of one flat buffer and gradients as views of another,
+    as training keeps them: the op writes into neither input, and every
+    gradient lands in its view."""
+    rng = np.random.default_rng(44)
+    arrays = mlp_inputs(rng)
+    weight = rng.standard_normal(arrays["x"].shape)
+    flat = np.concatenate([arrays[k].ravel() for k in MLP_ARGS]).astype(dtype)
+    before = flat.copy()
+    flat_grad = np.zeros_like(flat)
+    views, grads, start = {}, {}, 0
+    for k in MLP_ARGS:
+        size = arrays[k].size
+        views[k] = flat[start:start + size].reshape(arrays[k].shape)
+        grads[k] = flat_grad[start:start + size].reshape(arrays[k].shape)
+        start += size
+    for gate in (None, GATE):
+        flat_grad[...] = 0.0
+        got = run_fused_mlp(views, weight, dtype, gate, grads)
+        assert np.array_equal(flat, before)
+        want = run_fused_mlp(arrays, weight, dtype, gate)
+        for k, g_flat, g, g_fresh in zip(MLP_ARGS, grads.values(), got[1:], want[1:]):
+            assert g is g_flat, k
+            assert np.array_equal(g, g_fresh), k
+
+
+def test_mlp_branch_rejects_mismatched_shapes():
+    t = {k: Tensor(a) for k, a in mlp_inputs(np.random.default_rng(45)).items()}
+    with pytest.raises(ShapeError, match="fc2 weight"):
+        fused_mlp({**t, "fc2_w": Tensor(np.zeros((8, 12)))})
+    with pytest.raises(ShapeError, match="fc1 weight"):
+        fused_mlp({**t, "x": Tensor(np.zeros((2, 6, 9)))})
+    with pytest.raises(ShapeError, match="gate"):
+        fused_mlp(t, np.ones(3))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=st.integers(1, 3), tokens=st.integers(1, 5), d=st.integers(1, 6),
+       hid=st.integers(1, 8), gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mlp_branch_random_shapes_match_composed_ops(batch, tokens, d, hid, gated, seed):
+    rng = np.random.default_rng(seed)
+    arrays = mlp_inputs(rng, (batch, tokens, d), hid)
+    gate = (rng.random(batch) < 0.5) * 2.0 if gated else None
+    weight = Tensor(rng.standard_normal((batch, tokens, d)))
+    results = []
+    for op in (fused_mlp, composed_mlp):
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        y = op(t, gate)
+        backward((y * weight).sum())
+        results.append([y.data] + [t[k].grad for k in MLP_ARGS])
+    for name, got, want in zip(("out",) + MLP_ARGS, *results):
+        assert np.abs(got - want).max() < 1e-10, name
+
+
 # ------------------------------------------------------------ blocks
 
 
@@ -610,9 +754,10 @@ def graph_nodes(t: Tensor) -> int:
     return count
 
 
-@pytest.mark.parametrize("shifted,limit", [(False, 16), (True, 22)])
+@pytest.mark.parametrize("shifted,limit", [(False, 10), (True, 16)])
 def test_swin_block_graph_node_count(shifted, limit):
-    """Attention is one node: the block's graph stays at its layer count."""
+    """Attention and the MLP branch are one node each: the block's graph
+    stays at its layer count."""
     rng = np.random.default_rng(35)
     bp = rand_block_params(rng, 8, 2, 4)
     x = Tensor(rng.standard_normal((1, 64, 8)), requires_grad=True)
@@ -718,6 +863,30 @@ def test_forward_training_with_drop_path_is_seed_deterministic():
         c = forward(img, cfg, params, training=True, rng=np.random.default_rng(10))
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)  # some sample drops differ
+
+
+def test_training_backward_skips_constant_leaves():
+    """Drop-path gates, the pooling mean's scale and the input pixels are
+    constants: backward must not compute or store a gradient for them."""
+    from swinqa.tensor import cross_entropy_soft
+    cfg = preset("micro")
+    params = init_params(cfg, np.random.default_rng(25))
+    img = np.random.default_rng(2).random((4, 64, 64, 3))
+    logits = forward(img, cfg, params, training=True, rng=np.random.default_rng(9))
+    loss = cross_entropy_soft(logits, Tensor(np.eye(2)[[0, 1, 1, 0]]))
+    seen, stack, constants = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if not node.requires_grad and not node._parents:
+                constants.append(node)
+            stack.extend(node._parents)
+    gates = [c for c in constants if c.shape == (4, 1, 1)]
+    assert len(gates) == 4 and any(c.shape == () for c in constants)
+    backward(loss)
+    assert all(c.grad is None for c in constants)
+    assert all(p.grad is not None for p in params.values())
 
 
 def test_stochastic_depth_rates_schedule():
