@@ -8,6 +8,7 @@ evaluation path applies only resize + normalize.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,8 +63,8 @@ class AugConfig:
 
 @dataclass
 class LabeledBatch:
-    """Images [B, H, W, 3] in [0, 1] (pre-normalization) with soft labels
-    [B, K]; label rows sum to 1."""
+    """Images [B, H, W, C] in [0, 1] (pre-normalization), C 1 (grayscale) or
+    3, with soft labels [B, K]; label rows sum to 1."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -220,30 +221,41 @@ def random_erasing(image: np.ndarray, cfg: AugConfig, rng) -> np.ndarray:
 # ------------------------------------------------------------- randaugment
 
 
+@functools.lru_cache(maxsize=None)
+def _centered_grid(h: int, w: int) -> tuple:
+    """Row and column offsets of every pixel from the image center, [h, w] each."""
+    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64),
+                             np.arange(w, dtype=np.float64), indexing="ij")
+    dr, dc = rows - (h - 1) / 2.0, cols - (w - 1) / 2.0
+    dr.flags.writeable = dc.flags.writeable = False
+    return dr, dc
+
+
 def _affine_sample(img: np.ndarray, inv: np.ndarray, offset, fill: float = 0.5) -> np.ndarray:
-    """Inverse-mapped bilinear warp about the image center.
+    """Inverse-mapped bilinear warp about the image center of img [h, w, C].
 
     For output pixel p (row, col), samples the input at
     inv @ (p - center) + center + offset; out-of-range taps read `fill`.
     """
-    h, w = img.shape[:2]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-    sr = inv[0, 0] * (rows - cy) + inv[0, 1] * (cols - cx) + cy + offset[0]
-    sc = inv[1, 0] * (rows - cy) + inv[1, 1] * (cols - cx) + cx + offset[1]
+    h, w, c = img.shape
+    dr, dc = _centered_grid(h, w)
+    sr = inv[0, 0] * dr + inv[0, 1] * dc + (h - 1) / 2.0 + offset[0]
+    sc = inv[1, 0] * dr + inv[1, 1] * dc + (w - 1) / 2.0 + offset[1]
     r0 = np.floor(sr).astype(int)
     c0 = np.floor(sc).astype(int)
     fr = (sr - r0)[:, :, None]
     fc = (sc - c0)[:, :, None]
-
-    def tap(rr, cc):
-        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        vals = img[np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)]
-        return np.where(valid[:, :, None], vals, fill)
-
-    return ((1 - fr) * (1 - fc) * tap(r0, c0) + (1 - fr) * fc * tap(r0, c0 + 1)
-            + fr * (1 - fc) * tap(r0 + 1, c0) + fr * fc * tap(r0 + 1, c0 + 1))
+    # gather the four taps with one index into a copy of the image inside a
+    # 2-pixel border of `fill`: clamping the top-left tap to [-2, h] x [-2, w]
+    # sends every out-of-range tap into the border and moves no in-range one
+    hp, wp = h + 4, w + 4
+    src = np.full((hp, wp, c), fill, dtype=img.dtype)
+    src[2:-2, 2:-2] = img
+    base = (np.minimum(np.maximum(r0, -2), h) + 2) * wp + np.minimum(np.maximum(c0, -2), w) + 2
+    t00, t01, t10, t11 = src.reshape(hp * wp, c)[np.stack([base, base + 1, base + wp,
+                                                           base + (wp + 1)])]
+    gr, gc = 1 - fr, 1 - fc
+    return gr * gc * t00 + gr * fc * t01 + fr * gc * t10 + fr * fc * t11
 
 
 def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
@@ -268,8 +280,11 @@ def shear(img: np.ndarray, axis: int, factor: float) -> np.ndarray:
     return _affine_sample(img, inv, (0.0, 0.0))
 
 
+# _luminance_mean and adjust_saturation, the only ops that mix channels,
+# read a grayscale plane as three equal channels: one plane gives the bits
+# its RGB copy would
 def _luminance_mean(img: np.ndarray) -> float:
-    return float((img @ _LUMA).mean())
+    return float((to_rgb01(img) @ _LUMA).mean())
 
 
 def adjust_brightness(img: np.ndarray, factor: float) -> np.ndarray:
@@ -282,7 +297,7 @@ def adjust_contrast(img: np.ndarray, factor: float) -> np.ndarray:
 
 
 def adjust_saturation(img: np.ndarray, factor: float) -> np.ndarray:
-    gray = (img @ _LUMA)[:, :, None]
+    gray = (to_rgb01(img) @ _LUMA)[:, :, None]
     return np.clip(gray + (img - gray) * factor, 0.0, 1.0)
 
 
@@ -351,8 +366,9 @@ def _apply_randaug_op(img: np.ndarray, op: str, magnitude: float, rng) -> np.nda
 
 def rand_augment(image: np.ndarray, n: int, magnitude: float, rng) -> np.ndarray:
     """Apply n ops drawn uniformly with replacement from RANDAUGMENT_OPS at
-    the given 0-10 magnitude; output stays in [0, 1]."""
-    img = np.asarray(image, dtype=np.float64)
+    the given 0-10 magnitude; output stays in [0, 1]. An [h, w] image is
+    read as [h, w, 1]."""
+    img = _channels01(image)
     for _ in range(n):
         op = RANDAUGMENT_OPS[int(rng.integers(0, len(RANDAUGMENT_OPS)))]
         img = _apply_randaug_op(img, op, magnitude, rng)
@@ -361,10 +377,10 @@ def rand_augment(image: np.ndarray, n: int, magnitude: float, rng) -> np.ndarray
 
 def color_jitter(image: np.ndarray, strength: float, rng) -> np.ndarray:
     """Scale brightness/contrast/saturation by factors uniform in
-    [1-s, 1+s], in random order."""
+    [1-s, 1+s], in random order. An [h, w] image is read as [h, w, 1]."""
     if strength < 0:
         raise ValueError("strength must be >= 0")
-    img = np.asarray(image, dtype=np.float64)
+    img = _channels01(image)
     if strength == 0:
         return img
     ops = [adjust_brightness, adjust_contrast, adjust_saturation]
@@ -383,9 +399,12 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     """Full input pipeline.
 
     mode "train": resize -> RandAugment -> color jitter -> MixUp-or-CutMix
-    -> random erasing -> normalize (requires rng). mode "eval": resize and
-    normalize only; rng must be None (no stochastic ops on that path).
-    Returns (images [B, size, size, 3] normalized, soft labels [B, K]).
+    -> random erasing -> normalize (requires rng). A batch of grayscale
+    images stays one plane until erasing, which draws its noise per
+    channel; a batch with any color image is color throughout. mode
+    "eval": resize and normalize only; rng must be None (no stochastic
+    ops on that path). Returns (images [B, size, size, 3] normalized,
+    soft labels [B, K]).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -399,13 +418,16 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
         return out, soft
     if rng is None:
         raise ValueError("train pipeline needs an rng")
-    resized = np.stack([bilinear_resize(to_rgb01(im), size, size) for im in images])
+    planes = [_channels01(im) for im in images]
+    if any(im.shape[-1] == 3 for im in planes):
+        planes = [to_rgb01(im) for im in planes]
     augd = np.stack([
-        color_jitter(rand_augment(im, cfg.randaug_n, cfg.randaug_magnitude, rng),
+        color_jitter(rand_augment(bilinear_resize(im, size, size), cfg.randaug_n,
+                                  cfg.randaug_magnitude, rng),
                      cfg.jitter_strength, rng)
-        for im in resized])
+        for im in planes])
     batch = LabeledBatch(augd, soft)
     if batch.images.shape[0] >= 2:
         batch = mix_batch(batch, cfg, rng)
-    erased = np.stack([random_erasing(im, cfg, rng) for im in batch.images])
+    erased = np.stack([random_erasing(to_rgb01(im), cfg, rng) for im in batch.images])
     return normalize(erased, cfg), batch.labels

@@ -119,6 +119,12 @@ class TrainConfig:
 # ---------------------------------------------------------------- optimizer
 
 
+# adamw_step runs its passes over chunks of _ADAMW_CHUNK elements: the six
+# chunk-sized arrays it touches (weights, gradient, m, v and two scratch
+# rows; 1.5 MB in float32) stay in L2 from the first pass to the last
+_ADAMW_CHUNK = 1 << 16
+
+
 @dataclass
 class OptimState:
     m: np.ndarray  # first moments, flat in param_layout order
@@ -127,7 +133,7 @@ class OptimState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # two scratch buffers that every adamw_step reuses; never saved
+    # two chunk-sized scratch rows that every adamw_step reuses; never saved
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -138,30 +144,38 @@ def init_optim_state(param: np.ndarray) -> OptimState:
 def adamw_step(param: np.ndarray, grad: np.ndarray, state: OptimState, lr: float,
                wd: float) -> None:
     """One Adam update with decoupled weight decay, in place on flat buffers:
-    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), as whole-buffer
-    passes into reused scratch in that expression's operation order."""
+    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), as passes into
+    reused scratch in that expression's operation order. The passes run
+    chunk by chunk; each element sees the same operations either way."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     g = np.asarray(grad)
-    if g.shape != param.shape:
-        raise ShapeError(f"gradient has shape {g.shape}, parameter has {param.shape}")
-    if state.work is None or state.work.shape != (2, *param.shape):
-        state.work = np.empty((2, *param.shape), dtype=param.dtype)
-    a, b = state.work
+    if g.shape != param.shape or param.ndim != 1:
+        raise ShapeError(f"gradient has shape {g.shape}, parameter has {param.shape}; "
+                         f"both must be flat")
+    n = len(param)
+    chunk = max(1, min(n, _ADAMW_CHUNK))
+    if state.work is None or state.work.shape != (2, chunk):
+        state.work = np.empty((2, chunk), dtype=param.dtype)
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    state.m *= state.beta1
-    state.m += np.multiply(g, 1.0 - state.beta1, out=a)
-    state.v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=a)
-    state.v += np.multiply(a, g, out=a)
-    np.divide(state.m, bc1, out=a)
-    np.divide(state.v, bc2, out=b)
-    np.sqrt(b, out=b)
-    a /= np.add(b, state.eps, out=b)
-    a += np.multiply(param, wd, out=b)
-    param -= np.multiply(a, lr, out=a)
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        p, gc, m, v = param[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = state.work[:, :hi - lo]
+        m *= beta1
+        m += np.multiply(gc, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(gc, 1.0 - beta2, out=a)
+        v += np.multiply(a, gc, out=a)
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        a /= np.add(b, eps, out=b)
+        a += np.multiply(p, wd, out=b)
+        p -= np.multiply(a, lr, out=a)
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:
@@ -355,8 +369,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a save_checkpoint file; a truncated or inconsistent one raises
-    ValueError naming `path`."""
+    """Read a save_checkpoint file; a truncated or inconsistent one, or one
+    holding a NaN or infinite value, raises ValueError naming `path`."""
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
@@ -390,6 +404,14 @@ def _read_checkpoint(f) -> Checkpoint:
         raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
     if f.readinto(payload) < payload.nbytes:
         raise ValueError(f"truncated payload: expected {payload.nbytes} bytes")
+    flat = payload.reshape(-1)
+    if not math.isfinite(flat @ flat):  # NaN/inf, or a finite overflow
+        for prefix, row in zip(prefixes, payload):
+            for name, view in param_views(cfg, row).items():
+                bad = view[~np.isfinite(view)]
+                if bad.size:
+                    raise ValueError(f"{prefix.rstrip('.') or 'weights'} group: tensor "
+                                     f"{name} holds a non-finite value ({bad[0]})")
     rows = iter(payload)
     params = {name: Tensor(view, requires_grad=True)
               for name, view in param_views(cfg, next(rows)).items()}

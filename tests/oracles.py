@@ -1,7 +1,9 @@
 """Independent brute-force references shared by test files.
 
 Everything here is plain numpy with explicit loops; nothing imports the
-production attention path.
+production attention path. The one exception to plain numpy is
+prepare_batch_three_planes, which composes the production augmentation ops
+and differs from the pipeline only in where grayscale becomes three planes.
 """
 
 import numpy as np
@@ -134,3 +136,49 @@ def adamw_per_name(params, grads, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1
         v[name] += (1.0 - beta2) * g * g
         step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps) + wd * p
         p -= lr * step
+
+
+def affine_sample_taps(img, inv, offset, fill=0.5):
+    """Inverse-mapped bilinear warp of img [h, w, C] about its center, one
+    tap at a time: each tap clips its index into the image and then swaps
+    in `fill` where the unclipped index falls outside."""
+    h, w = img.shape[:2]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64),
+                             np.arange(w, dtype=np.float64), indexing="ij")
+    sr = inv[0, 0] * (rows - cy) + inv[0, 1] * (cols - cx) + cy + offset[0]
+    sc = inv[1, 0] * (rows - cy) + inv[1, 1] * (cols - cx) + cx + offset[1]
+    r0 = np.floor(sr).astype(int)
+    c0 = np.floor(sc).astype(int)
+    fr = (sr - r0)[:, :, None]
+    fc = (sc - c0)[:, :, None]
+
+    def tap(rr, cc):
+        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        vals = img[np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)]
+        return np.where(valid[:, :, None], vals, fill)
+
+    return ((1 - fr) * (1 - fc) * tap(r0, c0) + (1 - fr) * fc * tap(r0, c0 + 1)
+            + fr * (1 - fc) * tap(r0 + 1, c0) + fr * fc * tap(r0 + 1, c0 + 1))
+
+
+def prepare_batch_three_planes(images, labels, cfg, size, rng, num_classes=2):
+    """The train-mode input pipeline with every image expanded to three
+    planes before the first op, composed from the swinqa.augment ops in the
+    pipeline's order: resize, RandAugment, color jitter, MixUp-or-CutMix,
+    random erasing, normalize."""
+    from swinqa import augment
+
+    soft = augment._one_hot(labels, num_classes)
+    resized = np.stack([augment.bilinear_resize(augment.to_rgb01(im), size, size)
+                        for im in images])
+    augd = np.stack([
+        augment.color_jitter(
+            augment.rand_augment(im, cfg.randaug_n, cfg.randaug_magnitude, rng),
+            cfg.jitter_strength, rng)
+        for im in resized])
+    batch = augment.LabeledBatch(augd, soft)
+    if batch.images.shape[0] >= 2:
+        batch = augment.mix_batch(batch, cfg, rng)
+    erased = np.stack([augment.random_erasing(im, cfg, rng) for im in batch.images])
+    return augment.normalize(erased, cfg), batch.labels

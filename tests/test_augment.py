@@ -4,6 +4,8 @@ the train/eval pipeline contracts."""
 import numpy as np
 import pytest
 
+from oracles import affine_sample_taps, prepare_batch_three_planes
+from swinqa import augment
 from swinqa.augment import (
     IMAGENET_MEAN,
     IMAGENET_STD,
@@ -24,6 +26,7 @@ from swinqa.augment import (
     random_erasing,
     resize_normalize,
     rotate,
+    shear,
     to_rgb01,
     translate,
 )
@@ -252,6 +255,32 @@ def test_translate_integer_shift_is_exact():
     assert np.abs(inner).max() == 0.0
 
 
+GEOMETRIC_CASES = [
+    ("rotate", lambda im: rotate(im, 17.0)),
+    ("rotate_neg", lambda im: rotate(im, -30.0)),
+    ("rotate_half", lambda im: rotate(im, 180.0)),
+    ("translate", lambda im: translate(im, 2.0, -3.0)),
+    ("translate_fraction", lambda im: translate(im, -1.5, 0.25)),
+    ("translate_rows_off", lambda im: translate(im, im.shape[0] + 3.0, 1.0)),
+    ("translate_rows_off_neg", lambda im: translate(im, -im.shape[0] - 2.0, 0.0)),
+    ("translate_cols_off", lambda im: translate(im, 0.0, im.shape[1] + 0.5)),
+    ("shear_x", lambda im: shear(im, 1, 0.3)),
+    ("shear_y", lambda im: shear(im, 0, -0.27)),
+]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("hw", [(9, 9), (7, 12), (12, 5)])
+@pytest.mark.parametrize("name,op", GEOMETRIC_CASES, ids=[c[0] for c in GEOMETRIC_CASES])
+def test_geometric_ops_match_tap_oracle(monkeypatch, name, op, hw, channels):
+    img = np.random.default_rng([len(name), *hw, channels]).random(hw + (channels,))
+    got = op(img)
+    monkeypatch.setattr(augment, "_affine_sample", affine_sample_taps)
+    want = op(img)
+    assert got.shape == want.shape == img.shape
+    assert np.array_equal(got, want)
+
+
 def test_posterize_masks_low_bits():
     img = gray(0.5)
     out4 = posterize(img, 4)
@@ -325,6 +354,46 @@ def test_color_jitter_strength_zero_and_constant_image():
     assert np.abs(out - 0.65).max() < 1e-12
 
 
+def select_op(op):
+    """Scripted draws that make rand_augment apply `op` once, sign negative."""
+    return ScriptedRng(ints=[RANDAUGMENT_OPS.index(op)], randoms=[0.7])
+
+
+@pytest.mark.parametrize("op", RANDAUGMENT_OPS)
+def test_rand_augment_op_on_2d_one_and_three_planes(op):
+    plane = np.random.default_rng(12).random((9, 11))
+    plane[2:5, 3:7] = 0.0  # a dark patch gives equalize and autocontrast work
+    one = rand_augment(plane[:, :, None], 1, 7.0, select_op(op))
+    assert one.shape == (9, 11, 1)
+    assert np.array_equal(rand_augment(plane, 1, 7.0, select_op(op)), one)
+    three = rand_augment(np.repeat(plane[:, :, None], 3, axis=-1), 1, 7.0, select_op(op))
+    assert three.shape == (9, 11, 3)
+    for c in range(3):
+        assert np.array_equal(three[:, :, c:c + 1], one)
+
+
+def test_color_jitter_on_2d_one_and_three_planes():
+    plane = np.random.default_rng(13).random((6, 7))
+
+    def jitter(img):
+        return color_jitter(img, 0.4, ScriptedRng(perm=[2, 0, 1], uniform3=[1.3, 0.7, 1.2]))
+
+    one = jitter(plane[:, :, None])
+    assert one.shape == (6, 7, 1)
+    assert np.array_equal(jitter(plane), one)
+    three = jitter(np.repeat(plane[:, :, None], 3, axis=-1))
+    for c in range(3):
+        assert np.array_equal(three[:, :, c:c + 1], one)
+
+
+def test_rand_augment_and_color_jitter_reject_two_planes():
+    img = np.zeros((4, 4, 2))
+    with pytest.raises(ValueError, match="expected"):
+        rand_augment(img, 1, 5.0, select_op("rotate"))
+    with pytest.raises(ValueError, match="expected"):
+        color_jitter(img, 0.4, ScriptedRng(perm=[0, 1, 2], uniform3=[1.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -378,6 +447,42 @@ def test_prepare_batch_train_shapes_labels_determinism():
     assert not np.array_equal(a, c)
     assert np.abs(la.sum(axis=-1) - 1.0).max() < 1e-9
     assert np.isfinite(a).all()
+
+
+PIPELINE_CONFIGS = {
+    "desk": AugConfig(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05,
+                      cutmix_alpha=0.05, erase_prob=0.0, jitter_strength=0.05),
+    "default": AugConfig(),
+    "heavy": AugConfig(randaug_n=3, randaug_magnitude=10.0, erase_prob=1.0),
+}
+
+
+def pipeline_images(kind, seed):
+    gen = np.random.default_rng([seed, 31])
+    shapes = {"gray": [(16, 16)] * 4,
+              "gray_resized": [(21, 13), (16, 16), (9, 30), (16, 16)],
+              "rgb": [(16, 16, 3), (20, 16, 3), (16, 16, 3)],
+              "mixed": [(16, 16), (16, 18, 3), (12, 16, 1), (16, 16)]}[kind]
+    return [gen.random(shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["gray", "gray_resized", "rgb", "mixed"])
+@pytest.mark.parametrize("config", sorted(PIPELINE_CONFIGS))
+def test_prepare_batch_train_matches_three_plane_oracle(monkeypatch, config, kind, seed):
+    cfg = PIPELINE_CONFIGS[config]
+    images = pipeline_images(kind, seed)
+    labels = [(seed + i) % 2 for i in range(len(images))]
+    rng = np.random.default_rng([seed, 17])
+    got, got_labels = prepare_batch(images, labels, cfg, "train", 16, rng=rng)
+    # the reference runs every warp through the tap sampler as well
+    monkeypatch.setattr(augment, "_affine_sample", affine_sample_taps)
+    ref_rng = np.random.default_rng([seed, 17])
+    want, want_labels = prepare_batch_three_planes(images, labels, cfg, 16, ref_rng)
+    assert got.shape == want.shape == (len(images), 16, 16, 3)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_labels, want_labels)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_prepare_batch_accepts_soft_labels():

@@ -4,10 +4,12 @@ config precedence, and determinism of emitted files."""
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.swin import init_params, preset
 from swinqa.train import Checkpoint, save_checkpoint
@@ -229,14 +231,19 @@ def test_inspect_short_checkpoint_exits_1(tmp_path, capsys):
     error_line(capsys, short)
 
 
-def test_train_nan_abort_exits_2(tmp_path, capsys):
+def test_train_nan_abort_exits_2(tmp_path, capsys, monkeypatch):
     manifest = synth_small(tmp_path)
-    scfg = preset("micro")
-    params = init_params(scfg, np.random.default_rng(0))
-    params["head.weight"].data[:] = np.nan
-    poisoned = str(tmp_path / "nan.swq")
-    save_checkpoint(poisoned, Checkpoint(config=scfg, params=params, epoch=0))
-    cfg = train_config(tmp_path, manifest, epochs=1, checkpoint_in=poisoned)
+    # a checkpoint cannot carry NaN weights in (loading refuses them), so
+    # the NaN goes in at initialization
+    init = train_module.init_params
+
+    def poisoned(cfg, rng):
+        params = init(cfg, rng)
+        params["head.weight"].data[:] = np.nan
+        return params
+
+    monkeypatch.setattr(train_module, "init_params", poisoned)
+    cfg = train_config(tmp_path, manifest, epochs=1)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "aborted" in capsys.readouterr().err
 
@@ -252,6 +259,29 @@ def test_eval_nan_checkpoint_exits_1(tmp_path, capsys):
                  "--split", "test", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nan" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_value_written_into_checkpoint_file_exits_1(tmp_path, capsys, value):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    path = str(tmp_path / "edited.swq")
+    save_checkpoint(path, Checkpoint(config=scfg,
+                                     params=init_params(scfg, np.random.default_rng(0))))
+    blob = bytearray(open(path, "rb").read())
+    size = struct.unpack("<I", blob[8:12])[0]
+    at = 12 + size + json.loads(blob[12:12 + size])["tensors"]["head.bias"]["offset"] + 4
+    blob[at:at + 4] = struct.pack("<f", value)
+    open(path, "wb").write(bytes(blob))
+    assert main(["eval", "--checkpoint", path, "--manifest", manifest,
+                 "--split", "test", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: weights group: tensor head.bias holds a "
+                          f"non-finite value ({value})")
+    assert "Traceback" not in err
+    cfg = train_config(tmp_path, manifest, epochs=1, checkpoint_in=path)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
+    assert "head.bias" in capsys.readouterr().err
 
 
 def test_resume_from_cli_checkpoint(tmp_path, capsys):

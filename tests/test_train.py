@@ -131,6 +131,39 @@ def test_adamw_flat_matches_per_name_oracle(dtype):
             assert np.array_equal(view, want[name]), name
 
 
+CHUNK = train_module._ADAMW_CHUNK
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adamw_chunks_match_per_name_oracle(dtype, n):
+    rng = np.random.default_rng(n)
+    weights = rng.normal(size=n).astype(dtype)
+    # uneven names, so that chunk edges and name edges fall apart
+    cuts = sorted({min(c, n) for c in (0, n // 3, n // 3 + 5, n)})
+    names = {f"p{i}": slice(lo, hi) for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
+    ref = {k: weights[sl].copy() for k, sl in names.items()}
+    ref_m = {k: np.zeros_like(a) for k, a in ref.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref.items()}
+    state = init_optim_state(weights)
+    for t in range(1, 4):
+        flat_grad = rng.normal(size=n).astype(dtype)
+        adamw_per_name(ref, {k: flat_grad[sl] for k, sl in names.items()},
+                       ref_m, ref_v, t, lr=1e-3, wd=0.05)
+        adamw_step(weights, flat_grad, state, lr=1e-3, wd=0.05)
+    assert state.work.shape == (2, min(n, CHUNK)) and state.work.dtype == np.dtype(dtype)
+    for flat, want in ((weights, ref), (state.m, ref_m), (state.v, ref_v)):
+        assert flat.dtype == np.dtype(dtype)
+        for k, sl in names.items():
+            assert np.array_equal(flat[sl], want[k]), k
+
+
+def test_adamw_rejects_non_flat_buffers():
+    param = np.zeros((2, 3))
+    with pytest.raises(ShapeError, match="flat"):
+        adamw_step(param, np.zeros((2, 3)), init_optim_state(param), 0.1, 0.0)
+
+
 # ---------------------------------------------------------------- schedule
 
 
@@ -321,6 +354,47 @@ def test_checkpoint_directory_must_match_layout(tmp_path, edit):
         load_checkpoint(path)
 
 
+def poison_payload(path, entries):
+    """Write float32 `value` at the first element of each (directory name,
+    value) entry in a saved checkpoint's payload."""
+    blob = bytearray(open(path, "rb").read())
+    size = struct.unpack("<I", blob[8:12])[0]
+    tensors = json.loads(blob[12:12 + size])["tensors"]
+    for name, value in entries:
+        at = 12 + size + tensors[name]["offset"]
+        blob[at:at + 4] = struct.pack("<f", value)
+    open(path, "wb").write(bytes(blob))
+
+
+@pytest.mark.parametrize("entries,want", [
+    ([("head.bias", math.nan)], r"weights group: tensor head\.bias holds a non-finite value \(nan\)"),
+    ([("optim.v.head.weight", math.inf), ("best.head.bias", math.nan)],
+     r"optim\.v group: tensor head\.weight holds a non-finite value \(inf\)"),
+    ([("best.head.bias", -math.inf)], r"best group: tensor head\.bias .*\(-inf\)"),
+    ([("patch_embed.weight", math.inf), ("head.bias", math.nan)],
+     r"weights group: tensor patch_embed\.weight "),
+], ids=["nan-weights", "inf-moment", "inf-best", "first-of-two"])
+def test_checkpoint_rejects_non_finite_payload(tmp_path, entries, want):
+    path = str(tmp_path / "p.swq")
+    save_checkpoint(path, micro_checkpoint())
+    load_checkpoint(path)
+    poison_payload(path, entries)
+    with pytest.raises(ValueError, match=r"p\.swq: " + want):
+        load_checkpoint(path)
+
+
+def test_train_refuses_non_finite_checkpoint_in(tmp_path):
+    path = str(tmp_path / "in.swq")
+    cfg = micro_train_cfg(epochs=1, warmup_epochs=0)
+    save_checkpoint(path, Checkpoint(config=cfg.swin_config(),
+                                     params=init_params(cfg.swin_config(),
+                                                        np.random.default_rng(0))))
+    poison_payload(path, [("head.weight", math.nan)])
+    with pytest.raises(ValueError, match="non-finite"):
+        train(micro_train_cfg(epochs=1, warmup_epochs=0, checkpoint_in=path),
+              records(4), records(4))
+
+
 def test_history_csv_format(tmp_path):
     path = str(tmp_path / "h.csv")
     write_history_csv(path, micro_checkpoint().history)
@@ -440,16 +514,19 @@ def test_train_is_deterministic_and_resumable(tmp_path):
     assert straight == resumed  # bit-identical continue-vs-straight run
 
 
-def test_train_nan_params_abort(tmp_path):
-    cfg = micro_train_cfg(epochs=1, warmup_epochs=0)
-    scfg = cfg.swin_config()
-    params = init_params(scfg, np.random.default_rng(0))
-    params["head.bias"].data[:] = np.nan
-    poisoned = str(tmp_path / "nan.swq")
-    save_checkpoint(poisoned, Checkpoint(config=scfg, params=params, epoch=0))
-    cfg = micro_train_cfg(epochs=1, warmup_epochs=0, checkpoint_in=poisoned)
+def test_train_nan_params_abort(monkeypatch):
+    # a checkpoint cannot carry NaN weights in (load_checkpoint refuses
+    # them), so the NaN goes in at initialization
+    init = train_module.init_params
+
+    def poisoned(cfg, rng):
+        params = init(cfg, rng)
+        params["head.bias"].data[:] = np.nan
+        return params
+
+    monkeypatch.setattr(train_module, "init_params", poisoned)
     with pytest.raises(TrainAbort, match="epoch 1"):
-        train(cfg, records(4), records(4))
+        train(micro_train_cfg(epochs=1, warmup_epochs=0), records(4), records(4))
 
 
 def _train_with_gradient_edit(monkeypatch, edit):
