@@ -443,26 +443,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> T
     return Tensor._from_op(out_data, (x, gamma, beta), bwd)
 
 
-# Eigen's float erf: erf(z) ~ z P(z^2) / Q(z^2) with z clamped to [-4, 4]
-# (beyond it float32 erf rounds to +-1); highest power first. P is halved,
-# which is exact, so the ratio is erf/2.
-_ERF_P_HALF = tuple(0.5 * c for c in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-    -1.60960333262415e-02))
-_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-          -7.37332916720468e-03, -1.42647390514189e-02)
-# float32 elements per GELU block: each block's ~25 passes stay in L2
-_GELU_BLOCK = 16384
-
-
-def _horner(coeffs: tuple, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.multiply(z2, coeffs[0], out=out)
-    out += coeffs[1]
-    for c in coeffs[2:]:
-        out *= z2
-        out += c
-    return out
+# Phi(x) = (1 + tanh(x h(x^2))) / 2 with h of degree 6, highest power first,
+# 1/sqrt(2) folded in. tools/fit_gelu_phi.py fits it: minimax error in Phi
+# over x/sqrt(2) in [0, 3.9], subject to x h(x^2) >= 10.05 over x/sqrt(2)
+# in [4, 4.6], since float32 tanh is exactly +-1 from 10 on.
+_PHI_TANH = (1.9171008103223196e-09, -1.37130813470852e-07, 4.0169825965003074e-06,
+             -5.555088650393875e-05, -3.2101146329091025e-05, 0.0363327356343676,
+             0.7978849619771538)
+# float32 elements per GELU block: each block's ~19 passes stay in L2
+_GELU_BLOCK = 65536
 
 
 def _gelu_f32(x: np.ndarray, out: np.ndarray | None = None,
@@ -472,20 +461,25 @@ def _gelu_f32(x: np.ndarray, out: np.ndarray | None = None,
     xf = np.ascontiguousarray(x).reshape(-1)
     out = np.empty(xf.size, dtype=np.float32) if out is None else out.reshape(-1)
     phi_f = None if phi is None else phi.reshape(-1)
-    z, z2, q, p = np.empty((4, min(_GELU_BLOCK, xf.size)), dtype=np.float32)
-    for start in range(0, xf.size, _GELU_BLOCK):
-        xb = xf[start:start + _GELU_BLOCK]
-        n = xb.size
-        zb, z2b, qb = z[:n], z2[:n], q[:n]
-        pb = p[:n] if phi_f is None else phi_f[start:start + n]
-        np.multiply(xb, _INV_SQRT2, out=zb)
-        np.clip(zb, -4.0, 4.0, out=zb)
-        np.multiply(zb, zb, out=z2b)
-        _horner(_ERF_P_HALF, z2b, pb)
-        pb *= zb
-        pb /= _horner(_ERF_Q, z2b, qb)
-        pb += 0.5
-        np.multiply(xb, pb, out=out[start:start + n])
+    u, p = np.empty((2, min(_GELU_BLOCK, xf.size)), dtype=np.float32)
+    # x h(x^2) overflows to +-inf from |x| ~ 4e3 on, where tanh is exactly +-1
+    with np.errstate(over="ignore"):
+        for start in range(0, xf.size, _GELU_BLOCK):
+            xb = xf[start:start + _GELU_BLOCK]
+            n = xb.size
+            ub = u[:n]
+            pb = p[:n] if phi_f is None else phi_f[start:start + n]
+            np.multiply(xb, xb, out=ub)
+            np.multiply(ub, _PHI_TANH[0], out=pb)  # Horner in u
+            for c in _PHI_TANH[1:-1]:
+                pb += c
+                pb *= ub
+            pb += _PHI_TANH[-1]
+            pb *= xb
+            np.tanh(pb, out=pb)
+            pb *= 0.5
+            pb += 0.5
+            np.multiply(xb, pb, out=out[start:start + n])
     return out.reshape(x.shape)
 
 
@@ -495,10 +489,11 @@ def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None,
     Phi(x), which the backward needs, is written into `phi` when given.
     Both must be C-contiguous and shaped like x.
 
-    float64 takes erf from scipy. float32 uses a clamped rational erf
-    (Eigen's 7+5-coefficient fit) evaluated in place over blocks of
-    _GELU_BLOCK elements: Phi is within 2.5e-7 of the exact value, and
-    exactly 0 or 1 for |x| >= 4 sqrt(2).
+    float64 takes erf from scipy. float32 writes the exact erf-form Phi as
+    (1 + tanh(x h(x^2))) / 2, with h the 7-coefficient fit _PHI_TANH,
+    evaluated in place over blocks of _GELU_BLOCK elements. This is not
+    the tanh approximation of GELU, which is 1e-3 off: Phi is within
+    2.5e-7 of the exact value, and exactly 0 or 1 for |x| >= 4 sqrt(2).
     """
     if x.dtype == np.float32:
         return _gelu_f32(x, out, phi)
@@ -523,8 +518,9 @@ def gelu_bwd(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit x * Phi(x) in the erf form (no tanh fit);
-    see gelu_fwd for the float32 erf."""
+    """Gaussian-error linear unit x * Phi(x) with the exact erf-form Phi,
+    not the 1e-3 tanh approximation; float32 expresses Phi through tanh to
+    within 2.5e-7 (see gelu_fwd)."""
     phi_cdf = np.empty_like(x.data) if records_graph((x,)) else None
     out_data = gelu_fwd(x.data, phi=phi_cdf)
 

@@ -369,8 +369,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a save_checkpoint file; a truncated or inconsistent one, or one
-    holding a NaN or infinite value, raises ValueError naming `path`."""
+    """Read a save_checkpoint file; a truncated or inconsistent one, one
+    with bytes after its payload, or one holding a NaN or infinite value,
+    raises ValueError naming `path`."""
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
@@ -404,6 +405,8 @@ def _read_checkpoint(f) -> Checkpoint:
         raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
     if f.readinto(payload) < payload.nbytes:
         raise ValueError(f"truncated payload: expected {payload.nbytes} bytes")
+    if f.read(1):
+        raise ValueError(f"trailing bytes after the {payload.nbytes}-byte payload")
     flat = payload.reshape(-1)
     if not math.isfinite(flat @ flat):  # NaN/inf, or a finite overflow
         for prefix, row in zip(prefixes, payload):

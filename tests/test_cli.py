@@ -4,15 +4,20 @@ config precedence, and determinism of emitted files."""
 import json
 import math
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from swinqa import cli
 from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
+from swinqa.data import SynthSpec
 from swinqa.swin import init_params, preset
-from swinqa.train import Checkpoint, save_checkpoint
+from swinqa.train import Checkpoint, TrainConfig, save_checkpoint
+from test_acceptance import RECIPE
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -33,6 +38,20 @@ def synth_small(tmp_path, sub="data", **flags):
 
 
 # ------------------------------------------------------------------ config
+
+
+def test_readme_run_json_is_the_criterion_8_recipe(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "run.json"
+    path.write_text(block)
+    # the quickstart's synth command passes --seed 1234, the data seed of criterion 8
+    synth = load_run_config(str(path), {"seed": 1234, "out": str(tmp_path)})
+    assert cli._synth_spec(synth) == SynthSpec(task="foreign_object", size=64, seed=1234)
+    assert [synth["synth"][k] for k in ("n_train", "n_val", "n_test")] == [400, 100, 100]
+    run = load_run_config(str(path), {"out": str(tmp_path)})
+    want = TrainConfig(checkpoint_out=str(tmp_path / "checkpoint.swq"), **RECIPE)
+    assert cli._train_config(run) == want
 
 
 def test_defaults_are_json_round_trippable():
@@ -229,6 +248,22 @@ def test_inspect_short_checkpoint_exits_1(tmp_path, capsys):
     short.write_bytes(b"SWQK\x01\x00")
     assert main(["inspect", "--checkpoint", str(short), "--out", str(tmp_path / "o")]) == 1
     error_line(capsys, short)
+
+
+def test_checkpoint_with_trailing_bytes_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    path = tmp_path / "long.swq"
+    save_checkpoint(str(path), Checkpoint(config=scfg,
+                                          params=init_params(scfg, np.random.default_rng(0))))
+    with open(path, "ab") as f:
+        f.write(b"\x00")
+    assert main(["eval", "--checkpoint", str(path), "--manifest", manifest,
+                 "--split", "test", "--out", str(tmp_path / "o")]) == 1
+    error_line(capsys, path)
+    assert main(["inspect", "--checkpoint", str(path), "--out", str(tmp_path / "i")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: trailing bytes") and "Traceback" not in err
 
 
 def test_train_nan_abort_exits_2(tmp_path, capsys, monkeypatch):

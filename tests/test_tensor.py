@@ -1,6 +1,7 @@
 """Autodiff engine: forward values against independent oracles, gradients
 against finite differences."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -320,6 +321,21 @@ def test_gelu_float32_phi_error_bound():
     with using_dtype("float32"):
         y = gelu(Tensor([-10.0, 10.0])).data
     assert y[0] == 0.0 and y[1] == 10.0
+
+
+@pytest.mark.parametrize("magnitude", [1e3, 1e4, 1e20, float(np.finfo(np.float32).max)])
+def test_gelu_float32_huge_inputs_are_exact_without_warnings(magnitude):
+    x = np.array([magnitude, -magnitude], dtype=np.float32)
+    phi = np.empty_like(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T._gelu_f32(x, phi=phi)
+        with using_dtype("float32"):
+            y_op = gelu(Tensor(x)).data
+    for out in (y, y_op):
+        assert out[0] == x[0]
+        assert out[1] == 0.0 and np.signbit(out[1])
+    assert phi.tolist() == [1.0, 0.0]
 
 
 def test_gelu_float32_blocking_is_bit_exact():

@@ -315,6 +315,15 @@ def test_checkpoint_truncation_guard(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_guard(tmp_path):
+    path = str(tmp_path / "long.swq")
+    save_checkpoint(path, micro_checkpoint())
+    with open(path, "ab") as f:
+        f.write(b"\x00")
+    with pytest.raises(ValueError, match="long.swq: trailing bytes"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_short_fixed_header(tmp_path):
     path = str(tmp_path / "short.swq")
     open(path, "wb").write(b"SWQK\x01\x00")
