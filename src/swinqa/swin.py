@@ -41,9 +41,10 @@ from .tensor import (
 )
 
 NEG = -1e9  # additive mask value; large but finite so softmax gradients stay defined
-# mlp_branch works on blocks of rows: about _MLP_BLOCK hidden activations
-# (512 KB in float32) stay in cache from fc1 to fc2, and at least
-# _MLP_MIN_ROWS rows share each pass over the weights
+# Both branch ops work on blocks whose widest intermediate, about _MLP_BLOCK
+# elements (512 KB in float32), stays in cache from the first GEMM to the
+# last: mlp_branch's hidden activations, over at least _MLP_MIN_ROWS rows
+# per pass over the weights, and attention_branch's qkv, over whole images
 _MLP_BLOCK = 1 << 17
 _MLP_MIN_ROWS = 512
 
@@ -321,6 +322,20 @@ def _mask_cached(h: int, w: int, window: int, shift: int, dtype_name: str) -> At
     return AttentionMask(m, n_windows, vals)
 
 
+@functools.lru_cache(maxsize=None)
+def _perm_cached(h: int, w: int, window: int, shift: int) -> tuple:
+    """(perm, inv) for an h x w token grid: position j of the sequence that
+    cyclic_shift(-shift) then window_partition produce holds token perm[j]
+    (windows in row-major tile order, tokens row-major inside a window),
+    and inv is the inverse permutation."""
+    m = window
+    grid = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift), (0, 1))
+    perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1)
+    inv = np.argsort(perm)
+    perm.flags.writeable = inv.flags.writeable = False
+    return perm, inv
+
+
 def build_sw_attention_mask(h: int, w: int, window: int, shift: int | None = None) -> AttentionMask:
     """Mask for shifted-window attention on an h x w grid; zero iff both
     tokens of a pair come from the same contiguous pre-shift region."""
@@ -408,6 +423,133 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
     return WindowSet(ws.window, d_model, ws.grid, out)
 
 
+def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
+                     qkv_weight: Tensor, qkv_bias: Tensor, proj_weight: Tensor,
+                     proj_bias: Tensor, table: Tensor, window: int, heads: int,
+                     shift: int, mask: AttentionMask | None,
+                     gate: np.ndarray | None = None) -> Tensor:
+    """Pre-norm attention residual branch on an h x w token grid:
+    x + gate * A(LN(x)), where A rolls the map by -shift, runs
+    window_attention with relative-position bias `table` and `mask` (or
+    None), and rolls it back.
+
+    One graph node with a hand-written backward. Its parents are x
+    [B, h*w, d] and the seven parameters; `gate` is a constant per-sample
+    factor (the stochastic-depth draw), or None for 1. The roll and the
+    partition are one fixed permutation of the tokens (_perm_cached): the
+    layer-normed rows are gathered into window order, and the projection
+    is gathered back before the residual add. The op runs over blocks of
+    whole images whose qkv fits in cache. Without a graph every block
+    reuses one set of scratch buffers; with one, the blocks write into
+    full-size buffers that the backward reads."""
+    m = window
+    if x.ndim != 3 or x.shape[1] != h * w or h % m or w % m:
+        raise ShapeError(f"attention branch on {x.shape}: not [B, {h}*{w}, d] "
+                         f"on a grid divisible by window {m}")
+    b, t, d = x.shape
+    if d % heads:
+        raise ShapeError(f"dim {d} not divisible by {heads} heads")
+    shapes = [p.shape for p in (gamma, beta, qkv_weight, qkv_bias, proj_weight,
+                                proj_bias, table)]
+    if shapes != [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), ((2 * m - 1) ** 2, heads)]:
+        raise ShapeError(f"attention branch on {x.shape}, window {m}, {heads} heads: "
+                         f"norm, qkv, projection and bias-table shapes are {shapes}")
+    n, n_windows, d_head = m * m, t // (m * m), d // heads
+    if mask is not None and (mask.window, mask.n_windows) != (m, n_windows):
+        raise ShapeError(f"mask for {mask.n_windows} windows of {mask.window} "
+                         f"does not match {n_windows} windows of {m}")
+    if gate is not None and gate.shape != (b,):
+        raise ShapeError(f"gate {gate.shape} is not one factor per sample of {x.shape}")
+    scale = d_head ** -0.5
+    perm, inv = _perm_cached(h, w, m, shift)
+    index = relative_position_index(m)
+    parents = (x, gamma, beta, qkv_weight, qkv_bias, proj_weight, proj_bias, table)
+    records = records_graph(parents)
+
+    def head_views(buf):
+        """q, k, v as [windows, heads, n, d_head] views of a [rows, 3d]
+        buffer, whose columns run over (q/k/v, head, d_head)."""
+        t5 = buf.reshape(-1, n, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+        return t5[0], t5[1], t5[2]
+
+    step = max(1, _MLP_BLOCK // (t * 3 * d))  # images per block
+    kept_images = b if records else min(step, b)
+    dtype = x.data.dtype
+    nw = np.empty((kept_images, t, d), dtype=dtype)  # layer-normed rows, window order
+    qkv = np.empty((kept_images, t, 3 * d), dtype=dtype)
+    p = np.empty((kept_images, n_windows, heads, n, n), dtype=dtype)
+    o = np.empty((kept_images, t, d), dtype=dtype)  # A.V, columns over (head, d_head)
+    y = np.empty((min(step, b), t, d), dtype=dtype)
+    out = np.empty_like(x.data)
+    if records:
+        n_tok, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, LN_EPS,
+                                              keep_xhat=True)
+    rel_bias = table.data[index].transpose(2, 0, 1)
+    for start in range(0, b, step):
+        imgs = slice(start, min(start + step, b))
+        bb = imgs.stop - start
+        kept = imgs if records else slice(0, bb)
+        src = n_tok[imgs] if records else layer_norm_fwd(
+            x.data[imgs], gamma.data, beta.data, LN_EPS, keep_xhat=False)[0]
+        # mode="clip" gathers straight into the destination; the default
+        # "raise" gathers into a temporary and copies it over
+        nb = np.take(src, perm, axis=1, out=nw[kept], mode="clip")
+        qb = qkv[kept].reshape(-1, 3 * d)
+        np.matmul(nb.reshape(-1, d), qkv_weight.data, out=qb)
+        qb += qkv_bias.data
+        q, k, v = head_views(qb)
+        pw = p[kept]
+        pb = pw.reshape(-1, heads, n, n)
+        np.matmul(q, k.swapaxes(-1, -2), out=pb)
+        pb *= scale
+        pb += rel_bias
+        if mask is not None:
+            pw += mask.values[:, None]
+        softmax_inplace(pb)
+        # A.V lands straight in token-major order
+        obk = o[kept]
+        np.matmul(pb, v, out=obk.reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3))
+        yb = y[:bb]
+        np.matmul(obk.reshape(-1, d), proj_weight.data, out=yb.reshape(-1, d))
+        yb += proj_bias.data
+        if gate is not None:
+            yb *= gate[imgs, None, None]
+        ob = np.take(yb, inv, axis=1, out=out[imgs], mode="clip")
+        ob += x.data[imgs]
+
+    def bwd(g):
+        gw = np.take(g, perm, axis=1)
+        if gate is not None:
+            gw *= gate[:, None, None]
+        g2 = gw.reshape(-1, d)
+        proj_bias._accumulate(g2.sum(axis=0))
+        proj_weight._accumulate(o.reshape(-1, d).T @ g2)
+        do = (g2 @ proj_weight.data.T).reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3)
+        qkv2 = qkv.reshape(-1, 3 * d)
+        q, k, v = head_views(qkv2)
+        p4 = p.reshape(-1, heads, n, n)
+        dqkv = np.empty_like(qkv2)
+        dq, dk, dv = head_views(dqkv)
+        np.matmul(p4.swapaxes(-1, -2), do, out=dv)
+        ds = softmax_grad_inplace(do @ v.swapaxes(-1, -2), p4)
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, index, ds.sum(axis=0).transpose(1, 2, 0))
+        table._accumulate(g_table)
+        ds *= scale
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        qkv_bias._accumulate(dqkv.sum(axis=0))
+        qkv_weight._accumulate(nw.reshape(-1, d).T @ dqkv)
+        dn = np.take((dqkv @ qkv_weight.data.T).reshape(b, t, d), inv, axis=1)
+        dx, d_gamma, d_beta = layer_norm_bwd(dn, xhat, inv_std, gamma.data)
+        gamma._accumulate(d_gamma)
+        beta._accumulate(d_beta)
+        dx += g
+        x._accumulate(dx)
+
+    return Tensor._from_op(out, parents, bwd)
+
+
 def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, fc1_weight: Tensor,
                fc1_bias: Tensor, fc2_weight: Tensor, fc2_bias: Tensor,
                gate: np.ndarray | None = None) -> Tensor:
@@ -484,36 +626,24 @@ def _drop_path_gate(batch: int, drop_prob: float, rng, dtype) -> np.ndarray:
 def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
                drop_prob: float = 0.0, training: bool = False, rng=None) -> FeatureMap:
     """One transformer block: windowed attention then MLP, both as
-    pre-norm residual branches under stochastic depth.
+    pre-norm residual branches under stochastic depth, and one graph node
+    each (attention_branch, mlp_branch).
 
     `bp` maps the names in BLOCK_KEYS to parameter tensors. When `shifted`,
-    the map is rolled by -window//2 before partitioning, attention is
-    masked, and the roll is undone afterwards.
+    attention runs on the map rolled by -window//2, masked, and the roll is
+    undone afterwards.
     """
     if training and drop_prob >= 1.0:
         return x  # both branches dropped with certainty
     shift = window // 2 if shifted else 0
     drop = training and drop_prob > 0.0
-
-    h = layer_norm(x.values, bp["norm1.gamma"], bp["norm1.beta"])
-    hm = FeatureMap(x.height, x.width, x.dim, h)
-    mask = None
-    if shift:
-        hm = cyclic_shift(hm, -shift)
-        mask = build_sw_attention_mask(x.height, x.width, window, shift)
-    ws = window_partition(hm, window)
-    ws = window_attention(ws, bp["attn.qkv.weight"], bp["attn.qkv.bias"],
+    dtype = x.values.data.dtype
+    mask = build_sw_attention_mask(x.height, x.width, window, shift) if shift else None
+    gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
+    x1 = attention_branch(x.values, x.height, x.width, bp["norm1.gamma"], bp["norm1.beta"],
+                          bp["attn.qkv.weight"], bp["attn.qkv.bias"],
                           bp["attn.proj.weight"], bp["attn.proj.bias"],
-                          rel_pos_bias(bp["attn.bias_table"], window), mask, heads)
-    hm = window_reverse(ws)
-    if shift:
-        hm = cyclic_shift(hm, shift)
-    branch = hm.values
-    dtype = branch.data.dtype
-    if drop:
-        branch = branch * Tensor(
-            _drop_path_gate(x.batch, drop_prob, rng, dtype).reshape(-1, 1, 1))
-    x1 = x.values + branch
+                          bp["attn.bias_table"], window, heads, shift, mask, gate)
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
     out = mlp_branch(x1, bp["norm2.gamma"], bp["norm2.beta"],
                      bp["mlp.fc1.weight"], bp["mlp.fc1.bias"],

@@ -369,9 +369,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a save_checkpoint file; a truncated or inconsistent one, one
-    with bytes after its payload, or one holding a NaN or infinite value,
-    raises ValueError naming `path`."""
+    """Read a save_checkpoint file; a truncated or inconsistent one (a
+    best_epoch without its history row, say), one with bytes after its
+    payload, or one holding a NaN or infinite value, raises ValueError
+    naming `path`."""
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
@@ -395,6 +396,11 @@ def _read_checkpoint(f) -> Checkpoint:
         raise ValueError(f"truncated header: {len(blob)} of {size} bytes")
     header = json.loads(blob.decode())
     cfg = SwinConfig(**header["config"])
+    best = header["best_epoch"]
+    if best is not None and not any(
+            isinstance(r, dict) and r.get("epoch") == best and {"val_acc", "val_auc"} <= r.keys()
+            for r in header["history"]):
+        raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
     prefixes = [""]
     if header["optim"] is not None:
         prefixes += ["optim.m.", "optim.v."]

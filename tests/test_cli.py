@@ -1,6 +1,7 @@
 """End-to-end command tests: artifacts on disk, exit-code contract,
 config precedence, and determinism of emitted files."""
 
+import ast
 import json
 import math
 import os
@@ -50,6 +51,39 @@ def test_readme_run_json_is_the_criterion_8_recipe(tmp_path):
     assert cli._synth_spec(synth) == SynthSpec(task="foreign_object", size=64, seed=1234)
     assert [synth["synth"][k] for k in ("n_train", "n_val", "n_test")] == [400, 100, 100]
     run = load_run_config(str(path), {"out": str(tmp_path)})
+    want = TrainConfig(checkpoint_out=str(tmp_path / "checkpoint.swq"), **RECIPE)
+    assert cli._train_config(run) == want
+
+
+def module_constants(path: Path, names: set) -> dict:
+    """Top-level `NAME = <literal>` assignments of a source file, read with
+    ast.literal_eval and not imported."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in names:
+                found[name] = ast.literal_eval(node.value)
+    assert set(found) == names, sorted(names - set(found))
+    return found
+
+
+def test_perfbench_desk_recipe_is_the_criterion_8_recipe(tmp_path):
+    """The train-desk workload times the recipe its `why` names: its
+    constants give criterion 8's TrainConfig and data spec."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    desk = module_constants(bench / "workloads.py",
+                            {"DESK_TRAIN_SEED", "DESK_TRAIN", "DESK_AUG", "DESK_SYNTH"})
+    (seeds,) = module_constants(bench / "run.py", {"DEFAULT_SEEDS"}).values()
+    # the workload's two config files, as perfbench/workloads.py writes them
+    synth = write_config(tmp_path, name="synth.json", seed=seeds["train-desk"],
+                         synth=desk["DESK_SYNTH"])
+    synth = load_run_config(synth, {"out": str(tmp_path)})
+    assert cli._synth_spec(synth) == SynthSpec(task="foreign_object", size=64, seed=1234)
+    assert [synth["synth"][k] for k in ("n_train", "n_val", "n_test")] == [400, 100, 100]
+    run = write_config(tmp_path, seed=desk["DESK_TRAIN_SEED"], train=desk["DESK_TRAIN"],
+                       aug=desk["DESK_AUG"])
+    run = load_run_config(run, {"out": str(tmp_path)})
     want = TrainConfig(checkpoint_out=str(tmp_path / "checkpoint.swq"), **RECIPE)
     assert cli._train_config(run) == want
 
@@ -317,6 +351,21 @@ def test_non_finite_value_written_into_checkpoint_file_exits_1(tmp_path, capsys,
     cfg = train_config(tmp_path, manifest, epochs=1, checkpoint_in=path)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
     assert "head.bias" in capsys.readouterr().err
+
+
+def test_resume_from_checkpoint_without_best_row_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    params = init_params(scfg, np.random.default_rng(0))
+    path = str(tmp_path / "orphan.swq")
+    best = np.concatenate([p.data.ravel() for p in params.values()]).astype("<f4")
+    save_checkpoint(path, Checkpoint(config=scfg, params=params, epoch=1, history=[],
+                                     best_params=best, best_epoch=1))
+    cfg = train_config(tmp_path, manifest, epochs=2, checkpoint_in=path)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: best_epoch 1 names no history row")
+    assert "Traceback" not in err
 
 
 def test_resume_from_cli_checkpoint(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Architecture: published parameter/FLOP totals, exact structural
 identities, and attention against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from swinqa.swin import (
     NEG,
     FeatureMap,
     SwinConfig,
+    attention_branch,
     build_sw_attention_mask,
     count_flops,
     count_params,
@@ -663,6 +666,219 @@ def test_mlp_branch_random_shapes_match_composed_ops(batch, tokens, d, hid, gate
         assert np.abs(got - want).max() < 1e-10, name
 
 
+# ------------------------------------------------ fused attention branch
+
+BRANCH_ARGS = ("x", "gamma", "beta", "qkv_w", "qkv_b", "proj_w", "proj_b", "table")
+
+
+def branch_inputs(rng, batch=2, grid=(8, 8), m=4, dim=8, heads=2):
+    """Branch input [B, h*w, dim] and its seven parameters as float64 arrays.
+    The qkv weights are halved: on unit-variance normed rows, full-size ones
+    saturate the softmax, and some bias-table gradients then fall to ~1e-9,
+    below the rounding noise of the grad check's central differences."""
+    arrays = rand_attn_params(rng, dim, heads, m)
+    arrays["qkv_w"] *= 0.5
+    arrays["x"] = rng.standard_normal((batch, grid[0] * grid[1], dim)) * 2 + 0.5
+    arrays["gamma"] = 1.0 + 0.3 * rng.standard_normal(dim)
+    arrays["beta"] = 0.3 * rng.standard_normal(dim)
+    return arrays
+
+
+def branch_mask(grid, m, shift):
+    return build_sw_attention_mask(*grid, m, shift) if shift else None
+
+
+def fused_branch(t, grid=(8, 8), m=4, heads=2, shift=0, gate=None) -> Tensor:
+    return attention_branch(t["x"], *grid, *(t[k] for k in BRANCH_ARGS[1:]), m, heads,
+                            shift, branch_mask(grid, m, shift), gate)
+
+
+def composed_branch(t, grid=(8, 8), m=4, heads=2, shift=0, gate=None) -> Tensor:
+    """The same branch from layer_norm, cyclic_shift, window_partition,
+    window_attention and window_reverse."""
+    fm = FeatureMap(*grid, t["x"].shape[-1], layer_norm(t["x"], t["gamma"], t["beta"]))
+    if shift:
+        fm = cyclic_shift(fm, -shift)
+    ws = window_attention(window_partition(fm, m), t["qkv_w"], t["qkv_b"], t["proj_w"],
+                          t["proj_b"], rel_pos_bias(t["table"], m),
+                          branch_mask(grid, m, shift), heads)
+    fm = window_reverse(ws)
+    if shift:
+        fm = cyclic_shift(fm, shift)
+    h = fm.values
+    if gate is not None:
+        h = h * Tensor(gate.reshape(-1, 1, 1))
+    return t["x"] + h
+
+
+def dense_branch(a, grid, m, heads, shift, gate) -> np.ndarray:
+    """The branch in plain numpy around oracles.dense_window_attention."""
+    x = a["x"]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xn = xc / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + 1e-5) * a["gamma"] + a["beta"]
+    (h, w), d = grid, x.shape[-1]
+    mask = branch_mask(grid, m, shift)
+    out = np.empty_like(x)
+    for bi in range(len(x)):
+        rolled = np.roll(xn[bi].reshape(h, w, d), (-shift, -shift), (0, 1))
+        xw = rolled.reshape(h // m, m, w // m, m, d).transpose(0, 2, 1, 3, 4).reshape(-1, m * m, d)
+        yw = dense_window_attention(xw, a["qkv_w"], a["qkv_b"], a["proj_w"], a["proj_b"],
+                                    a["table"], relative_position_index(m),
+                                    None if mask is None else np.asarray(mask.values), heads)
+        y = yw.reshape(h // m, w // m, m, m, d).transpose(0, 2, 1, 3, 4).reshape(h, w, d)
+        out[bi] = np.roll(y, (shift, shift), (0, 1)).reshape(h * w, d)
+    if gate is not None:
+        out *= gate[:, None, None]
+    return x + out
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("wrt", BRANCH_ARGS)
+def test_attention_branch_grad_check(wrt, shifted, gated):
+    rng = np.random.default_rng([BRANCH_ARGS.index(wrt), shifted, gated])
+    tensors = {k: Tensor(a) for k, a in branch_inputs(rng).items()}
+    mix = Tensor(rng.standard_normal(tensors["x"].shape))
+    shift, gate = (2 if shifted else 0), (GATE if gated else None)
+
+    def f(t):
+        return (fused_branch({**tensors, wrt: t}, shift=shift, gate=gate) * mix).sum()
+
+    probe, f_probe = tensors[wrt], f
+    if wrt == "qkv_b":
+        # the softmax cancels a key bias (see test_window_attention_grad_check):
+        # check its gradient is 0 and probe the q and v biases
+        d = probe.size // 3
+        q_b, k_b, v_b = np.split(probe.data, 3)
+        leaf = Tensor(probe.data, requires_grad=True)
+        backward(f(leaf))
+        assert np.abs(leaf.grad[d:2 * d]).max() < 1e-12 * np.abs(leaf.grad).max()
+        probe = Tensor(np.concatenate([q_b, v_b]))
+
+        def f_probe(t):
+            return f(concat([t[:d], Tensor(k_b), t[d:]], axis=0))
+
+    assert grad_check(f_probe, probe) < 1e-4
+
+
+def run_fused_branch(arrays, weight, dtype, shift, gate=None, grads=None):
+    """Forward and backward of (attention_branch * weight).sum() at `dtype`;
+    returns the output and every input gradient. `grads` optionally
+    presets each leaf's .grad, as training does with its flat buffer."""
+    with using_dtype(dtype):
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        for k, g in (grads or {}).items():
+            t[k].grad = g
+        y = fused_branch(t, shift=shift, gate=gate)
+        backward((y * Tensor(weight)).sum())
+        return [y.data] + [t[k].grad for k in BRANCH_ARGS]
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_attention_branch_float32_matches_float64(shifted, gated):
+    rng = np.random.default_rng([51, shifted, gated])
+    arrays = branch_inputs(rng)
+    weight = rng.standard_normal(arrays["x"].shape)
+    shift, gate = (2 if shifted else 0), (GATE if gated else None)
+    got32 = run_fused_branch(arrays, weight, "float32", shift, gate)
+    got64 = run_fused_branch(arrays, weight, "float64", shift, gate)
+    for name, got, want in zip(("out",) + BRANCH_ARGS, got32, got64):
+        assert got.dtype == np.float32, name
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attention_branch_no_grad_output_matches_recording(dtype, shifted, gated):
+    """Over two image blocks, the last partial, without and with a graph:
+    the same bits, and those of the composed ops."""
+    grid, m, dim, heads, batch = (16, 16), 4, 24, 2, 9
+    images = swin._MLP_BLOCK // (grid[0] * grid[1] * 3 * dim)  # per block
+    assert 1 < images < batch and batch % images  # two blocks, the last partial
+    arrays = branch_inputs(np.random.default_rng(52), batch, grid, m, dim, heads)
+    shift, gate = (2 if shifted else 0), (np.resize(GATE, batch) if gated else None)
+    with using_dtype(dtype):
+        recorded = fused_branch({k: Tensor(a, requires_grad=True) for k, a in arrays.items()},
+                                grid, m, heads, shift, gate)
+        with no_grad():
+            plain = fused_branch({k: Tensor(a, requires_grad=True)
+                                  for k, a in arrays.items()}, grid, m, heads, shift, gate)
+            composed = composed_branch({k: Tensor(a) for k, a in arrays.items()},
+                                       grid, m, heads, shift, gate)
+    assert recorded._parents and not plain._parents and plain._backward is None
+    assert np.array_equal(plain.data, recorded.data)
+    assert np.array_equal(recorded.data, composed.data)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attention_branch_leaves_shared_buffer_unchanged(dtype):
+    """Inputs as views of one flat buffer and gradients as views of another,
+    as training keeps them: the op writes into neither input, and every
+    gradient lands in its view."""
+    rng = np.random.default_rng(53)
+    arrays = branch_inputs(rng)
+    weight = rng.standard_normal(arrays["x"].shape)
+    flat = np.concatenate([arrays[k].ravel() for k in BRANCH_ARGS]).astype(dtype)
+    before = flat.copy()
+    flat_grad = np.zeros_like(flat)
+    views, grads, start = {}, {}, 0
+    for k in BRANCH_ARGS:
+        size = arrays[k].size
+        views[k] = flat[start:start + size].reshape(arrays[k].shape)
+        grads[k] = flat_grad[start:start + size].reshape(arrays[k].shape)
+        start += size
+    with using_dtype(dtype):  # the leaves wrap the views, no copies
+        assert all(np.shares_memory(Tensor(v).data, flat) for v in views.values())
+    for gate in (None, GATE):
+        flat_grad[...] = 0.0
+        got = run_fused_branch(views, weight, dtype, 2, gate, grads)
+        assert np.array_equal(flat, before)
+        want = run_fused_branch(arrays, weight, dtype, 2, gate)
+        for k, g_flat, g, g_fresh in zip(BRANCH_ARGS, grads.values(), got[1:], want[1:]):
+            assert g is g_flat, k
+            assert np.array_equal(g, g_fresh), k
+
+
+def test_attention_branch_rejects_mismatched_shapes():
+    t = {k: Tensor(a) for k, a in branch_inputs(np.random.default_rng(54)).items()}
+    with pytest.raises(ShapeError, match="bias-table"):
+        fused_branch({**t, "table": Tensor(np.zeros((9, 2)))})
+    with pytest.raises(ShapeError, match="divisible by window"):
+        fused_branch(t, grid=(2, 32))
+    with pytest.raises(ShapeError, match="mask"):
+        attention_branch(t["x"], 8, 8, *(t[k] for k in BRANCH_ARGS[1:]), 4, 2, 2,
+                         build_sw_attention_mask(8, 8, 2, 1))
+    with pytest.raises(ShapeError, match="gate"):
+        fused_branch(t, gate=np.ones(3))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(heads=st.integers(1, 3), m=st.integers(1, 3), d_head=st.integers(1, 3),
+       batch=st.integers(1, 3), tiles=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       shift=st.integers(0, 2), gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_attention_branch_random_shapes_match_composed_ops(
+        heads, m, d_head, batch, tiles, shift, gated, seed):
+    dim, grid, shift = heads * d_head, (tiles[0] * m, tiles[1] * m), shift % m
+    rng = np.random.default_rng(seed)
+    arrays = branch_inputs(rng, batch, grid, m, dim, heads)
+    gate = (rng.random(batch) < 0.5) * 2.0 if gated else None
+    weight = Tensor(rng.standard_normal(arrays["x"].shape))
+    results = []
+    for op in (fused_branch, composed_branch):
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        y = op(t, grid, m, heads, shift, gate)
+        backward((y * weight).sum())
+        results.append([y.data] + [t[k].grad for k in BRANCH_ARGS])
+    (got, *got_grads), (want, *want_grads) = results
+    assert np.array_equal(got, want)
+    assert np.abs(got - dense_branch(arrays, grid, m, heads, shift, gate)).max() < 1e-10
+    for name, g, g_want in zip(BRANCH_ARGS, got_grads, want_grads):
+        assert np.abs(g - g_want).max() < 1e-10, name
+
+
 # ------------------------------------------------------------ blocks
 
 
@@ -754,15 +970,35 @@ def graph_nodes(t: Tensor) -> int:
     return count
 
 
-@pytest.mark.parametrize("shifted,limit", [(False, 10), (True, 16)])
+@pytest.mark.parametrize("shifted,limit", [(False, 2), (True, 2)])
 def test_swin_block_graph_node_count(shifted, limit):
-    """Attention and the MLP branch are one node each: the block's graph
-    stays at its layer count."""
+    """The attention branch and the MLP branch are one node each, shifted
+    or not."""
     rng = np.random.default_rng(35)
     bp = rand_block_params(rng, 8, 2, 4)
     x = Tensor(rng.standard_normal((1, 64, 8)), requires_grad=True)
     out = swin_block(FeatureMap(8, 8, 8, x), bp, window=4, heads=2, shifted=shifted)
     assert graph_nodes(out.values) <= limit
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_swin_block_eval_allocates_block_sized_scratch(shifted):
+    """A no-grad block at the micro stage-0 shape, batch 64: beyond its
+    output, both branches allocate block-sized scratch only, so the traced
+    peak (numpy reports its buffers to tracemalloc) stays within three
+    times the output's bytes."""
+    with using_dtype("float32"), no_grad():
+        rng = np.random.default_rng(36)
+        bp = rand_block_params(rng, 24, 2, 4)
+        fm = FeatureMap(16, 16, 24, Tensor(rng.standard_normal((64, 256, 24))))
+        swin_block(fm, bp, window=4, heads=2, shifted=shifted)  # fills the mask cache
+        tracemalloc.start()
+        try:
+            out = swin_block(fm, bp, window=4, heads=2, shifted=shifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * out.values.data.nbytes
 
 
 def test_swin_block_gradcheck_shifted():
@@ -866,8 +1102,9 @@ def test_forward_training_with_drop_path_is_seed_deterministic():
 
 
 def test_training_backward_skips_constant_leaves():
-    """Drop-path gates, the pooling mean's scale and the input pixels are
-    constants: backward must not compute or store a gradient for them."""
+    """The pooling mean's scale and the input pixels are constants:
+    backward must not compute or store a gradient for them. Drop-path gates
+    are plain arrays inside the branch ops and never become graph leaves."""
     from swinqa.tensor import cross_entropy_soft
     cfg = preset("micro")
     params = init_params(cfg, np.random.default_rng(25))
@@ -882,8 +1119,8 @@ def test_training_backward_skips_constant_leaves():
             if not node.requires_grad and not node._parents:
                 constants.append(node)
             stack.extend(node._parents)
-    gates = [c for c in constants if c.shape == (4, 1, 1)]
-    assert len(gates) == 4 and any(c.shape == () for c in constants)
+    assert not any(c.shape == (4, 1, 1) for c in constants)
+    assert any(c.shape == () for c in constants)
     backward(loss)
     assert all(c.grad is None for c in constants)
     assert all(p.grad is not None for p in params.values())

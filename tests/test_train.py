@@ -324,6 +324,20 @@ def test_checkpoint_trailing_bytes_guard(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("history", [
+    [],
+    [{"epoch": 2, "train_loss": 0.6, "val_acc": 62.0, "val_auc": 0.7, "lr": 1e-4}],
+    [{"epoch": 1, "train_loss": 0.6, "val_acc": 62.0, "lr": 1e-4}],
+], ids=["empty", "other-epoch", "no-val_auc"])
+def test_checkpoint_best_epoch_needs_its_history_row(tmp_path, history):
+    """save_checkpoint writes such a file; the loader refuses it, so a
+    resumed run never looks up a best row that is not there."""
+    path = str(tmp_path / "orphan.swq")
+    save_checkpoint(path, micro_checkpoint(history=history))
+    with pytest.raises(ValueError, match="orphan.swq: best_epoch 1 names no history row"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_short_fixed_header(tmp_path):
     path = str(tmp_path / "short.swq")
     open(path, "wb").write(b"SWQK\x01\x00")
