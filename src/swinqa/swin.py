@@ -215,14 +215,10 @@ class AttentionMask:
 
 @dataclass
 class RelPosBias:
-    """Learned per-head bias over relative in-window offsets.
-
-    `table` is [(2M-1)^2, heads]; `index` maps token pairs to table rows and
-    depends only on the window size.
-    """
+    """Learned per-head bias over relative in-window offsets: `table` is
+    [(2M-1)^2, heads], its rows indexed by relative_position_index(M)."""
 
     table: Tensor
-    index: np.ndarray  # [M^2, M^2] of int rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,7 +236,7 @@ def rel_pos_bias(table: Tensor, window: int) -> RelPosBias:
     rows = (2 * window - 1) ** 2
     if table.shape[0] != rows:
         raise ShapeError(f"bias table {table.shape} does not match window {window} ({rows} rows)")
-    return RelPosBias(table, relative_position_index(window))
+    return RelPosBias(table)
 
 
 # ------------------------------------------------------------------ ops
@@ -271,42 +267,33 @@ def linear_embed(fm: FeatureMap, weight: Tensor, bias: Tensor) -> FeatureMap:
 def window_partition(fm: FeatureMap, window: int) -> WindowSet:
     if fm.height % window or fm.width % window:
         raise ShapeError(f"grid {fm.height}x{fm.width} not divisible by window {window}")
-    b, m = fm.batch, window
-    nh, nw = fm.height // m, fm.width // m
-    t = (fm.values.reshape(b, nh, m, nw, m, fm.dim)
-         .transpose(0, 1, 3, 2, 4, 5)
-         .reshape(b, nh * nw, m * m, fm.dim))
-    return WindowSet(m, fm.dim, (fm.height, fm.width), t)
+    perm, _ = _perm_cached(fm.height, fm.width, window, 0)
+    t = fm.values[:, perm].reshape(fm.batch, -1, window * window, fm.dim)
+    return WindowSet(window, fm.dim, (fm.height, fm.width), t)
 
 
 def window_reverse(ws: WindowSet) -> FeatureMap:
     h, w = ws.grid
-    b, m = ws.values.shape[0], ws.window
-    nh, nw = h // m, w // m
-    t = (ws.values.reshape(b, nh, nw, m, m, ws.dim)
-         .transpose(0, 1, 3, 2, 4, 5)
-         .reshape(b, h * w, ws.dim))
+    _, inv = _perm_cached(h, w, ws.window, 0)
+    t = ws.values.reshape(ws.values.shape[0], h * w, ws.dim)[:, inv]
     return FeatureMap(h, w, ws.dim, t)
 
 
 def cyclic_shift(fm: FeatureMap, d: int) -> FeatureMap:
-    """Torus roll by d tokens on both grid axes (negative rolls up/left)."""
-    t = fm.grid_values().roll((d, d), (1, 2)).reshape(fm.batch, fm.height * fm.width, fm.dim)
-    return FeatureMap(fm.height, fm.width, fm.dim, t)
+    """Torus roll by d tokens on both grid axes (negative rolls up/left):
+    the token order of one-token windows rolled by d."""
+    perm, _ = _perm_cached(fm.height, fm.width, 1, -d)
+    return FeatureMap(fm.height, fm.width, fm.dim, fm.values[:, perm])
 
 
 @functools.lru_cache(maxsize=None)
 def _mask_cached(h: int, w: int, window: int, shift: int, dtype_name: str) -> AttentionMask:
     m = window
     n_windows = (h // m) * (w // m)
-    dtype = np.dtype(dtype_name)
-    if shift == 0:
-        vals = np.zeros((n_windows, m * m, m * m), dtype=dtype)
-        vals.flags.writeable = False
-        return AttentionMask(m, n_windows, vals)
     # Region ids on the rolled canvas: the last `shift` rows/cols hold tokens
     # wrapped from the opposite edge; the M-band above them shares windows
-    # with the wrapped tokens and must be kept separate.
+    # with the wrapped tokens and must be kept separate. At shift 0 the last
+    # band is the whole grid, so every id is equal and the mask is all 0.
     ids = np.zeros((h, w), dtype=np.int64)
     bands = (slice(0, -m), slice(-m, -shift), slice(-shift, None))
     c = 0
@@ -314,20 +301,19 @@ def _mask_cached(h: int, w: int, window: int, shift: int, dtype_name: str) -> At
         for ws_ in bands:
             ids[hs, ws_] = c
             c += 1
-    tiles = (ids.reshape(h // m, m, w // m, m)
-             .transpose(0, 2, 1, 3)
-             .reshape(n_windows, m * m))
-    vals = np.where(tiles[:, :, None] != tiles[:, None, :], NEG, 0.0).astype(dtype)
+    tiles = ids.reshape(-1)[_perm_cached(h, w, m, 0)[0]].reshape(n_windows, m * m)
+    vals = np.where(tiles[:, :, None] != tiles[:, None, :], NEG, 0.0).astype(dtype_name)
     vals.flags.writeable = False
     return AttentionMask(m, n_windows, vals)
 
 
 @functools.lru_cache(maxsize=None)
 def _perm_cached(h: int, w: int, window: int, shift: int) -> tuple:
-    """(perm, inv) for an h x w token grid: position j of the sequence that
-    cyclic_shift(-shift) then window_partition produce holds token perm[j]
-    (windows in row-major tile order, tokens row-major inside a window),
-    and inv is the inverse permutation."""
+    """(perm, inv) for an h x w token grid rolled by -shift on both axes and
+    cut into window x window tiles: position j of the window-ordered
+    sequence (windows in row-major tile order, tokens row-major inside a
+    window) holds token perm[j], and inv is the inverse permutation. Every
+    window op takes its token order from here; window 1 is the roll alone."""
     m = window
     grid = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift), (0, 1))
     perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1)
@@ -348,79 +334,113 @@ def build_sw_attention_mask(h: int, w: int, window: int, shift: int | None = Non
     return _mask_cached(h, w, window, shift, np.dtype(default_dtype()).name)
 
 
-def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
-                     proj_weight: Tensor, proj_bias: Tensor,
-                     bias: RelPosBias | None, mask: AttentionMask | None,
-                     heads: int) -> WindowSet:
+def _head_views(buf: np.ndarray, n: int, heads: int) -> tuple:
+    """q, k, v as [windows, heads, n, d_head] views of a [rows, 3d] buffer,
+    whose columns run over (q/k/v, head, d_head)."""
+    t = buf.reshape(-1, n, 3, heads, buf.shape[-1] // (3 * heads)).transpose(2, 0, 3, 1, 4)
+    return t[0], t[1], t[2]
+
+
+def attention_fwd(x: np.ndarray, qkv_weight: np.ndarray, qkv_bias: np.ndarray,
+                  proj_weight: np.ndarray, proj_bias: np.ndarray, table: np.ndarray,
+                  mask: AttentionMask | None, heads: int, qkv: np.ndarray, p: np.ndarray,
+                  o: np.ndarray, y: np.ndarray) -> None:
     """Multi-head self-attention inside each window, shared weights across
-    windows: softmax(QK^T/sqrt(d) + B + mask) V, then output projection.
+    windows: softmax(QK^T/sqrt(d_head) + B + mask) V, then the output
+    projection, over x [rows, d], the window-ordered rows of whole images.
 
-    One graph node with a hand-written backward. Its parents are the window
-    values, the four projection parameters and the bias table. qkv and the
-    projection are 2-D GEMMs over all B*nW*n tokens, q/k/v are strided
-    views of the qkv buffer, and the scores are softmaxed in place."""
-    b, n_windows, n, d_model = ws.values.shape
-    if d_model % heads:
-        raise ShapeError(f"dim {d_model} not divisible by {heads} heads")
-    if mask is not None and (mask.n_windows != n_windows or mask.window != ws.window):
-        raise ShapeError(f"mask for {mask.n_windows} windows of {mask.window} "
-                         f"does not match window set ({n_windows}, {ws.window})")
-    d_head = d_model // heads
-    scale = d_head ** -0.5
-    x = ws.values
-    parents = (x, qkv_weight, qkv_bias, proj_weight, proj_bias)
-    if bias is not None:
-        parents += (bias.table,)
-
-    def head_views(buf):
-        """q, k, v as [B*nW, heads, n, d_head] views of a [rows, 3*d_model]
-        buffer, whose columns run over (q/k/v, head, d_head)."""
-        t = buf.reshape(b * n_windows, n, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-        return t[0], t[1], t[2]
-
-    # one row per token: rows = B*nW*n
-    x2 = x.data.reshape(-1, d_model)
-    qkv = x2 @ qkv_weight.data
-    qkv += qkv_bias.data
-    q, k, v = head_views(qkv)
-    p = q @ k.swapaxes(-1, -2)  # [B*nW, heads, n, n]
-    p *= scale
-    if bias is not None:
-        p += bias.table.data[bias.index].transpose(2, 0, 1)
+    B comes from the relative-position bias `table` [(2M-1)^2, heads]; `mask`
+    may be None. The results land in the caller's contiguous buffers, which
+    attention_bwd reads: qkv [rows, 3d], the attention weights p [images,
+    n_windows, heads, n, n], softmaxed in place, o [rows, d] (A.V, columns
+    over (head, d_head)) and the output y [rows, d]."""
+    n, d_head = p.shape[-1], x.shape[-1] // heads
+    np.matmul(x, qkv_weight, out=qkv)
+    qkv += qkv_bias
+    q, k, v = _head_views(qkv, n, heads)
+    scores = p.reshape(-1, heads, n, n)
+    np.matmul(q, k.swapaxes(-1, -2), out=scores)
+    scores *= d_head ** -0.5
+    scores += table[relative_position_index(math.isqrt(n))].transpose(2, 0, 1)
     if mask is not None:
-        p_win = p.reshape(b, n_windows, heads, n, n)
-        p_win += mask.values[:, None]
-    softmax_inplace(p)
-    # A.V lands straight in token-major [rows, d_model] order
-    o = np.empty((b * n_windows, n, heads, d_head), dtype=p.dtype)
-    np.matmul(p, v, out=o.transpose(0, 2, 1, 3))
-    o = o.reshape(-1, d_model)
-    y = o @ proj_weight.data
-    y += proj_bias.data
+        p += mask.values[:, None]
+    softmax_inplace(scores)
+    # A.V lands straight in token-major order
+    np.matmul(scores, v, out=o.reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3))
+    np.matmul(o, proj_weight, out=y)
+    y += proj_bias
+
+
+def attention_bwd(g: np.ndarray, x: np.ndarray, qkv: np.ndarray, p: np.ndarray,
+                  o: np.ndarray, qkv_weight: np.ndarray, proj_weight: np.ndarray,
+                  table: np.ndarray, heads: int) -> tuple:
+    """Gradients (dx, d_qkv_w, d_qkv_b, d_proj_w, d_proj_b, d_table) of
+    attention_fwd from the output gradient g [rows, d], its input x and the
+    buffers it wrote; g is not written."""
+    n, d_head = p.shape[-1], g.shape[-1] // heads
+    do = (g @ proj_weight.T).reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3)
+    q, k, v = _head_views(qkv, n, heads)
+    weights = p.reshape(-1, heads, n, n)
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = _head_views(dqkv, n, heads)
+    np.matmul(weights.swapaxes(-1, -2), do, out=dv)
+    ds = softmax_grad_inplace(do @ v.swapaxes(-1, -2), weights)
+    d_table = np.zeros_like(table)
+    np.add.at(d_table, relative_position_index(math.isqrt(n)),
+              ds.sum(axis=0).transpose(1, 2, 0))
+    ds *= d_head ** -0.5
+    np.matmul(ds, k, out=dq)
+    np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+    return (dqkv @ qkv_weight.T, x.T @ dqkv, dqkv.sum(axis=0), o.T @ g, g.sum(axis=0),
+            d_table)
+
+
+def _check_attention(what: str, d: int, n_windows: int, window: int, heads: int,
+                     mask: AttentionMask | None, params: tuple) -> None:
+    """ShapeError unless d splits over `heads`, `params` (the norm's gamma
+    and beta if given, then the weights and biases of qkv and the projection
+    and the bias table) fit them, and `mask` is None or fits n_windows."""
+    if d % heads:
+        raise ShapeError(f"{what}: dim {d} not divisible by {heads} heads")
+    shapes = [t.shape for t in params]
+    want = [(d,)] * (len(params) - 5) + [(d, 3 * d), (3 * d,), (d, d), (d,),
+                                         ((2 * window - 1) ** 2, heads)]
+    if shapes != want:
+        raise ShapeError(f"{what} on dim {d}, window {window}, {heads} heads: "
+                         f"the (norm,) qkv, projection and bias-table shapes are "
+                         f"{shapes}, not {want}")
+    if mask is not None and (mask.window, mask.n_windows) != (window, n_windows):
+        raise ShapeError(f"{what}: mask for {mask.n_windows} windows of {mask.window} "
+                         f"does not match {n_windows} windows of {window}")
+
+
+def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
+                     proj_weight: Tensor, proj_bias: Tensor, bias: RelPosBias,
+                     mask: AttentionMask | None, heads: int) -> WindowSet:
+    """Multi-head self-attention inside each window (see attention_fwd) as
+    one graph node around the kernels that attention_branch runs. Its
+    parents are the window values, the four projection parameters and the
+    bias table."""
+    b, n_windows, n, d = ws.values.shape
+    params = (qkv_weight, qkv_bias, proj_weight, proj_bias, bias.table)
+    _check_attention("window attention", d, n_windows, ws.window, heads, mask, params)
+    x = ws.values
+    x2 = x.data.reshape(-1, d)
+    qkv = np.empty((len(x2), 3 * d), dtype=x2.dtype)
+    o = np.empty((len(x2), d), dtype=x2.dtype)
+    y = np.empty_like(o)
+    p = np.empty((b, n_windows, heads, n, n), dtype=x2.dtype)
+    attention_fwd(x2, *(t.data for t in params), mask, heads, qkv, p, o, y)
 
     def bwd(g):
-        g2 = g.reshape(-1, d_model)
-        proj_bias._accumulate(g2.sum(axis=0))
-        proj_weight._accumulate(o.T @ g2)
-        do = (g2 @ proj_weight.data.T).reshape(b * n_windows, n, heads, d_head)
-        do = do.transpose(0, 2, 1, 3)
-        dqkv = np.empty_like(qkv)
-        dq, dk, dv = head_views(dqkv)
-        np.matmul(p.swapaxes(-1, -2), do, out=dv)
-        ds = softmax_grad_inplace(do @ v.swapaxes(-1, -2), p)
-        if bias is not None:
-            g_table = np.zeros_like(bias.table.data)
-            np.add.at(g_table, bias.index, ds.sum(axis=0).transpose(1, 2, 0))
-            bias.table._accumulate(g_table)
-        ds *= scale
-        np.matmul(ds, k, out=dq)
-        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        qkv_bias._accumulate(dqkv.sum(axis=0))
-        qkv_weight._accumulate(x2.T @ dqkv)
-        x._accumulate((dqkv @ qkv_weight.data.T).reshape(x.data.shape))
+        dx, *grads = attention_bwd(g.reshape(-1, d), x2, qkv, p, o, qkv_weight.data,
+                                   proj_weight.data, bias.table.data, heads)
+        for param, grad in zip(params, grads):
+            param._accumulate(grad)
+        x._accumulate(dx.reshape(x.shape))
 
-    out = Tensor._from_op(y.reshape(b, n_windows, n, d_model), parents, bwd)
-    return WindowSet(ws.window, d_model, ws.grid, out)
+    out = Tensor._from_op(y.reshape(x.shape), (x,) + params, bwd)
+    return WindowSet(ws.window, d, ws.grid, out)
 
 
 def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
@@ -438,53 +458,35 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
     factor (the stochastic-depth draw), or None for 1. The roll and the
     partition are one fixed permutation of the tokens (_perm_cached): the
     layer-normed rows are gathered into window order, and the projection
-    is gathered back before the residual add. The op runs over blocks of
-    whole images whose qkv fits in cache. Without a graph every block
-    reuses one set of scratch buffers; with one, the blocks write into
-    full-size buffers that the backward reads."""
+    is gathered back before the residual add. attention_fwd runs over
+    blocks of whole images whose qkv fits in cache, into one set of
+    block-sized scratch buffers without a graph, and into full-size buffers
+    that attention_bwd reads with one."""
     m = window
     if x.ndim != 3 or x.shape[1] != h * w or h % m or w % m:
         raise ShapeError(f"attention branch on {x.shape}: not [B, {h}*{w}, d] "
                          f"on a grid divisible by window {m}")
     b, t, d = x.shape
-    if d % heads:
-        raise ShapeError(f"dim {d} not divisible by {heads} heads")
-    shapes = [p.shape for p in (gamma, beta, qkv_weight, qkv_bias, proj_weight,
-                                proj_bias, table)]
-    if shapes != [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), ((2 * m - 1) ** 2, heads)]:
-        raise ShapeError(f"attention branch on {x.shape}, window {m}, {heads} heads: "
-                         f"norm, qkv, projection and bias-table shapes are {shapes}")
-    n, n_windows, d_head = m * m, t // (m * m), d // heads
-    if mask is not None and (mask.window, mask.n_windows) != (m, n_windows):
-        raise ShapeError(f"mask for {mask.n_windows} windows of {mask.window} "
-                         f"does not match {n_windows} windows of {m}")
+    n, n_windows = m * m, t // (m * m)
+    attn = (qkv_weight, qkv_bias, proj_weight, proj_bias, table)
+    _check_attention("attention branch", d, n_windows, m, heads, mask, (gamma, beta) + attn)
     if gate is not None and gate.shape != (b,):
         raise ShapeError(f"gate {gate.shape} is not one factor per sample of {x.shape}")
-    scale = d_head ** -0.5
     perm, inv = _perm_cached(h, w, m, shift)
-    index = relative_position_index(m)
-    parents = (x, gamma, beta, qkv_weight, qkv_bias, proj_weight, proj_bias, table)
+    parents = (x, gamma, beta) + attn
     records = records_graph(parents)
-
-    def head_views(buf):
-        """q, k, v as [windows, heads, n, d_head] views of a [rows, 3d]
-        buffer, whose columns run over (q/k/v, head, d_head)."""
-        t5 = buf.reshape(-1, n, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-        return t5[0], t5[1], t5[2]
 
     step = max(1, _MLP_BLOCK // (t * 3 * d))  # images per block
     kept_images = b if records else min(step, b)
     dtype = x.data.dtype
-    nw = np.empty((kept_images, t, d), dtype=dtype)  # layer-normed rows, window order
+    nw, o = np.empty((2, kept_images, t, d), dtype=dtype)  # nw: LN(x) in window order
     qkv = np.empty((kept_images, t, 3 * d), dtype=dtype)
     p = np.empty((kept_images, n_windows, heads, n, n), dtype=dtype)
-    o = np.empty((kept_images, t, d), dtype=dtype)  # A.V, columns over (head, d_head)
     y = np.empty((min(step, b), t, d), dtype=dtype)
     out = np.empty_like(x.data)
     if records:
         n_tok, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, LN_EPS,
                                               keep_xhat=True)
-    rel_bias = table.data[index].transpose(2, 0, 1)
     for start in range(0, b, step):
         imgs = slice(start, min(start + step, b))
         bb = imgs.stop - start
@@ -494,24 +496,10 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
         # mode="clip" gathers straight into the destination; the default
         # "raise" gathers into a temporary and copies it over
         nb = np.take(src, perm, axis=1, out=nw[kept], mode="clip")
-        qb = qkv[kept].reshape(-1, 3 * d)
-        np.matmul(nb.reshape(-1, d), qkv_weight.data, out=qb)
-        qb += qkv_bias.data
-        q, k, v = head_views(qb)
-        pw = p[kept]
-        pb = pw.reshape(-1, heads, n, n)
-        np.matmul(q, k.swapaxes(-1, -2), out=pb)
-        pb *= scale
-        pb += rel_bias
-        if mask is not None:
-            pw += mask.values[:, None]
-        softmax_inplace(pb)
-        # A.V lands straight in token-major order
-        obk = o[kept]
-        np.matmul(pb, v, out=obk.reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3))
         yb = y[:bb]
-        np.matmul(obk.reshape(-1, d), proj_weight.data, out=yb.reshape(-1, d))
-        yb += proj_bias.data
+        attention_fwd(nb.reshape(-1, d), *(a.data for a in attn), mask, heads,
+                      qkv[kept].reshape(-1, 3 * d), p[kept], o[kept].reshape(-1, d),
+                      yb.reshape(-1, d))
         if gate is not None:
             yb *= gate[imgs, None, None]
         ob = np.take(yb, inv, axis=1, out=out[imgs], mode="clip")
@@ -521,26 +509,12 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
         gw = np.take(g, perm, axis=1)
         if gate is not None:
             gw *= gate[:, None, None]
-        g2 = gw.reshape(-1, d)
-        proj_bias._accumulate(g2.sum(axis=0))
-        proj_weight._accumulate(o.reshape(-1, d).T @ g2)
-        do = (g2 @ proj_weight.data.T).reshape(-1, n, heads, d_head).transpose(0, 2, 1, 3)
-        qkv2 = qkv.reshape(-1, 3 * d)
-        q, k, v = head_views(qkv2)
-        p4 = p.reshape(-1, heads, n, n)
-        dqkv = np.empty_like(qkv2)
-        dq, dk, dv = head_views(dqkv)
-        np.matmul(p4.swapaxes(-1, -2), do, out=dv)
-        ds = softmax_grad_inplace(do @ v.swapaxes(-1, -2), p4)
-        g_table = np.zeros_like(table.data)
-        np.add.at(g_table, index, ds.sum(axis=0).transpose(1, 2, 0))
-        table._accumulate(g_table)
-        ds *= scale
-        np.matmul(ds, k, out=dq)
-        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        qkv_bias._accumulate(dqkv.sum(axis=0))
-        qkv_weight._accumulate(nw.reshape(-1, d).T @ dqkv)
-        dn = np.take((dqkv @ qkv_weight.data.T).reshape(b, t, d), inv, axis=1)
+        dn, *grads = attention_bwd(gw.reshape(-1, d), nw.reshape(-1, d),
+                                   qkv.reshape(-1, 3 * d), p, o.reshape(-1, d),
+                                   qkv_weight.data, proj_weight.data, table.data, heads)
+        for param, grad in zip(attn, grads):
+            param._accumulate(grad)
+        dn = np.take(dn.reshape(b, t, d), inv, axis=1)
         dx, d_gamma, d_beta = layer_norm_bwd(dn, xhat, inv_std, gamma.data)
         gamma._accumulate(d_gamma)
         beta._accumulate(d_beta)

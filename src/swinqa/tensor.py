@@ -252,7 +252,8 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         a = self
         out_data = a.data[idx]
-        # basic indexing only: each source element appears at most once
+        # basic indexing or a permutation index: each source element appears
+        # at most once, so the backward's += needs no np.add.at
         if out_data.base is not None:
             out_data = out_data.copy()
 

@@ -526,6 +526,21 @@ def test_window_attention_random_shapes_match_dense_oracle(
         assert np.abs(got[bi] - want).max() < 1e-10
 
 
+def test_window_attention_rejects_mismatched_shapes():
+    """Parameter and mask shapes are checked as attention_branch checks
+    them: a length-1 bias would otherwise broadcast, and a wrong weight
+    would fail inside numpy."""
+    t = {k: Tensor(a) for k, a in attn_inputs(np.random.default_rng(35)).items()}
+    for k, shape in (("qkv_b", (1,)), ("proj_b", (1,)), ("qkv_w", (8, 16)),
+                     ("proj_w", (4, 8)), ("table", (49, 3))):
+        with pytest.raises(ShapeError, match="bias-table"):
+            fused_attention({**t, k: Tensor(np.zeros(shape))}, None)
+    with pytest.raises(ShapeError, match="mask"):
+        fused_attention(t, build_sw_attention_mask(8, 8, 2, 1))
+    with pytest.raises(ShapeError, match="heads"):
+        fused_attention(t, None, heads=3)
+
+
 # ------------------------------------------------------ fused MLP op
 
 MLP_ARGS = ("x", "gamma", "beta", "fc1_w", "fc1_b", "fc2_w", "fc2_b")

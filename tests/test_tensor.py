@@ -213,6 +213,7 @@ def test_grad_check_primitives():
     bet = Tensor(np.random.default_rng(97).standard_normal(6) * 0.1)
     tg = np.random.default_rng(96).random((5, 4))
     tg /= tg.sum(-1, keepdims=True)
+    perm = np.random.default_rng(95).permutation(6)
     cases = {
         "add": (lambda t: (t + t * 0.5).sum(), (5, 6)),
         "mul": (lambda t: (t * t).mean(), (5, 6)),
@@ -225,6 +226,7 @@ def test_grad_check_primitives():
         "reshape_transpose": (
             lambda t: (t.reshape(6, 5).transpose(1, 0) * t.reshape(5, 6)).sum(), (5, 6)),
         "getitem": (lambda t: (t[1:4, ::2] * 2.0).sum(), (5, 6)),
+        "getitem_perm": (lambda t: (t[:, perm] * t).sum(), (5, 6)),
         "roll": (lambda t: (t.roll((1, -2), (0, 1)) * t).sum(), (5, 6)),
         "mean_axis": (lambda t: (t.mean(axis=0) ** 2.0).sum(), (5, 6)),
     }

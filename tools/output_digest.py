@@ -1,0 +1,98 @@
+"""Print one sha256 over the model's eval logits and training gradients.
+
+    python3 tools/output_digest.py <tree>
+
+<tree> is the root of a swinqa source tree; the script imports swinqa from
+<tree>/src. Two trees whose digests are equal computed bit-identical
+outputs on every case below, so a change meant to keep every output bit
+is checked by running the script on the tree before and after it.
+
+Cases, all from fixed seeds, with BLAS pinned to one thread:
+- no-grad float32 forwards of `micro` at 64x64 batch 64, 128x128 batch 16
+  and 96x96 window 6 batch 40, and of `tiny` at batch 1;
+- a no-grad float64 forward of `tiny` at batch 1;
+- training-mode `micro` at 128x128 batch 4 with drop path 0 and 0.3:
+  the logits and the gradient of every parameter, in layout order.
+
+The digest goes to stdout; one line per case, with its own digest, goes to
+stderr.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # OpenBLAS reads these once, when numpy loads
+
+import numpy as np  # noqa: E402
+
+EVAL_CASES = (  # (name, preset, img_size, window, batch, dtype)
+    ("micro-64-b64", "micro", 64, None, 64, "float32"),
+    ("micro-128-b16", "micro", 128, None, 16, "float32"),
+    ("micro-96-w6-b40", "micro", 96, 6, 40, "float32"),
+    ("tiny-b1-f32", "tiny", None, None, 1, "float32"),
+    ("tiny-b1-f64", "tiny", None, None, 1, "float64"),
+)
+TRAIN_CASES = (("micro-128-b4-dp0", 0.0), ("micro-128-b4-dp0.3", 0.3))
+
+
+def _images(cfg, batch: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((batch, cfg.img_size, cfg.img_size, 3))
+
+
+def eval_arrays(swin, tensor, name, model, img_size, window, batch, dtype) -> list:
+    cfg = swin.preset(model, img_size=img_size, window=window)
+    with tensor.using_dtype(dtype), tensor.no_grad():
+        params = swin.init_params(cfg, np.random.default_rng(0))
+        logits = swin.forward(tensor.Tensor(_images(cfg, batch, 1)), cfg, params)
+    return [logits.data]
+
+
+def train_arrays(swin, tensor, drop_path: float) -> list:
+    cfg = dataclasses.replace(swin.preset("micro", img_size=128), drop_path_max=drop_path)
+    with tensor.using_dtype("float32"):
+        params = swin.init_params(cfg, np.random.default_rng(0))
+        x = tensor.Tensor(_images(cfg, 4, 2))
+        logits = swin.forward(x, cfg, params, training=True, rng=np.random.default_rng(3))
+        soft = np.eye(cfg.num_classes)[[0, 1, 1, 0]]
+        tensor.backward(tensor.cross_entropy_soft(logits, tensor.Tensor(soft)))
+    return [logits.data] + [params[k].grad for k, _ in swin.param_layout(cfg)]
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/output_digest.py <tree>", file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    if not (src / "swinqa" / "__init__.py").is_file():
+        print(f"error: no swinqa package under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    from swinqa import swin, tensor
+
+    cases = [(c[0], eval_arrays(swin, tensor, *c)) for c in EVAL_CASES]
+    cases += [(name, train_arrays(swin, tensor, dp)) for name, dp in TRAIN_CASES]
+    total = hashlib.sha256()
+    for name, arrays in cases:
+        case = digest(arrays).hexdigest()
+        print(f"{name} {case}", file=sys.stderr)
+        total.update(case.encode())
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
