@@ -1,9 +1,9 @@
 """Command-line harness binding the package into reproducible runs.
 
-One JSON document (schema-versioned, unknown keys rejected) configures
-every command; flags override file values which override defaults, and the
-fully-resolved config is echoed into the output directory so any run can
-be replayed exactly.
+One JSON document (schema-versioned; unknown keys and values of the wrong
+type rejected) configures every command; flags override file values which
+override defaults, and the fully-resolved config is echoed into the output
+directory so any run can be replayed exactly.
 
 Commands: synth | train | eval | inspect | bench.
 Exit codes: 0 success, 1 validation error or unreadable input, 2 runtime abort.
@@ -15,11 +15,13 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 
 from .augment import AugConfig
-from .data import SynthSpec, load_manifest, make_benchmark, split_counts
+from .data import SPLITS, SynthSpec, load_manifest, make_benchmark, split_counts
 from .swin import count_flops, count_params, param_views, preset
 from .tensor import Tensor
 from .train import (
@@ -34,74 +36,36 @@ from .train import (
 
 SCHEMA_VERSION = 1
 
+# the dataclass behind each config section: its fields, less the ones the
+# CLI fills in itself, are the section's keys, defaults and value types
+_SECTIONS = {"synth": SynthSpec, "train": TrainConfig, "aug": AugConfig}
+_CLI_SET = ("seed", "aug", "checkpoint_out")
+
+
+def _field_defaults(cls) -> dict:
+    # field defaults, not a default instance: TrainConfig resolves its None fields
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.name not in _CLI_SET}
+
+
 DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
     "workers": 1,
     "out": "runs/out",
-    "synth": {
-        "task": "foreign_object",
-        "size": 64,
-        "object_count": [1, 4],
-        "object_radius": [4, 9],
-        "background_blobs": 6,
-        "noise_sigma": 0.04,
-        "blur": False,
-        "n_train": 400,
-        "n_val": 100,
-        "n_test": 100,
-    },
-    "train": {
-        "mode": "scratch",
-        "model": "micro",
-        "img_size": None,
-        "window": None,
-        "num_classes": 2,
-        "base_lr": None,
-        "weight_decay": 1e-8,
-        "epochs": None,
-        "warmup_epochs": None,
-        "batch_size": None,
-        "grad_accum_steps": None,
-        "stop_epoch": None,
-        "drop_path_max": None,
-        "augment": True,
-        "eval_batch_size": 64,
-        "checkpoint_in": None,
-        "manifest": None,
-    },
-    "aug": {
-        "randaug_n": 2,
-        "randaug_magnitude": 9.0,
-        "mixup_alpha": 0.8,
-        "cutmix_alpha": 1.0,
-        "mix_switch_prob": 0.5,
-        "erase_prob": 0.25,
-        "erase_scale": [0.02, 0.33],
-        "erase_aspect": [0.3, 3.3],
-        "jitter_strength": 0.4,
-        "normalize_mean": [0.485, 0.456, 0.406],
-        "normalize_std": [0.229, 0.224, 0.225],
-    },
-    "eval": {
-        "checkpoint": None,
-        "manifest": None,
-        "split": "test",
-        "batch_size": 64,
-        "use_best": True,
-    },
-    "inspect": {
-        "checkpoint": None,
-    },
-    "bench": {
-        "model": "micro",
-        "img_size": None,
-        "window": None,
-        "batch_size": 1,
-        "n_warmup": 3,
-        "n_timed": 10,
-    },
+    "synth": {**_field_defaults(SynthSpec), "n_train": 400, "n_val": 100, "n_test": 100},
+    "train": {**_field_defaults(TrainConfig), "manifest": None},
+    "aug": _field_defaults(AugConfig),
+    "eval": {"checkpoint": None, "manifest": None, "split": "test", "batch_size": 64,
+             "use_best": True},
+    "inspect": {"checkpoint": None},
+    "bench": {"model": "micro", "img_size": None, "window": None, "batch_size": 1,
+              "n_warmup": 3, "n_timed": 10},
 }
+
+# the value type of each dataclass-backed key, by dotted path
+_ANNOTATIONS = {f"{name}.{key}": kind for name, cls in _SECTIONS.items()
+                for key, kind in typing.get_type_hints(cls).items() if key not in _CLI_SET}
 
 # the rows cmd_inspect reports: (label, preset, img_size, window)
 INSPECT_ROWS = (
@@ -126,6 +90,30 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------- configuration
 
 
+def _kind(where: str, default):
+    """The type a config value must have: its annotation for a synth, train
+    or aug key, else its default's. A None default marks an optional path,
+    or, for bench.img_size and bench.window, takes the train key's type."""
+    if where in _ANNOTATIONS:
+        return _ANNOTATIONS[where]
+    if default is None:
+        return _ANNOTATIONS.get("train." + where.rpartition(".")[2], str | None)
+    return type(default)
+
+
+def _fits(value, kind, default) -> bool:
+    if typing.get_args(kind):  # X | None
+        return any(_fits(value, k, default) for k in typing.get_args(kind))
+    if isinstance(value, bool) or kind is bool:  # to Python a bool is an int
+        return isinstance(value, bool) and kind is bool
+    if kind is float:  # JSON's NaN and Infinity parse as floats
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is tuple:  # a JSON list shaped like the default
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(v, type(d), d) for v, d in zip(value, default)))
+    return isinstance(value, kind)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -136,8 +124,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be an object")
             out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
+            continue
+        kind = _kind(where, base[key])
+        if not _fits(value, kind, base[key]):
+            want = f"a list like {base[key]}" if kind is tuple else getattr(kind, "__name__", kind)
+            raise ConfigError(f"{where!r} must be {want}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -172,32 +164,25 @@ def write_resolved_config(cfg: dict, out_dir: str) -> str:
     return path
 
 
-def _aug_config(cfg: dict) -> AugConfig:
-    fields = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in cfg["aug"].items()}
-    return AugConfig(**fields)
+def _build(cfg: dict, name: str, **cli_set):
+    """The dataclass of config section `name`: its field keys, lists as tuples."""
+    return _SECTIONS[name](**cli_set, **{k: tuple(v) if isinstance(v, list) else v
+                                         for k, v in cfg[name].items()
+                                         if f"{name}.{k}" in _ANNOTATIONS})
 
 
 def _synth_spec(cfg: dict) -> SynthSpec:
-    s = cfg["synth"]
-    return SynthSpec(task=s["task"], size=s["size"],
-                     object_count=tuple(s["object_count"]),
-                     object_radius=tuple(s["object_radius"]),
-                     background_blobs=s["background_blobs"],
-                     noise_sigma=s["noise_sigma"], blur=s["blur"],
-                     seed=cfg["seed"])
+    return _build(cfg, "synth", seed=cfg["seed"])
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    t = {k: v for k, v in cfg["train"].items() if k != "manifest"}
-    return TrainConfig(seed=cfg["seed"], aug=_aug_config(cfg),
-                       checkpoint_out=os.path.join(cfg["out"], "checkpoint.swq"),
-                       **t)
+    return _build(cfg, "train", seed=cfg["seed"], aug=_build(cfg, "aug"),
+                  checkpoint_out=os.path.join(cfg["out"], "checkpoint.swq"))
 
 
 def _split_records(manifest_path: str):
     records = load_manifest(manifest_path)
-    by_split = {"train": [], "val": [], "test": []}
+    by_split = {s: [] for s in SPLITS}
     for r in records:
         by_split[r.split].append(r)
     return by_split
@@ -213,7 +198,7 @@ def cmd_synth(cfg: dict) -> int:
                               os.path.join(cfg["out"], "dataset"),
                               workers=cfg["workers"])
     counts = split_counts(load_manifest(manifest))
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         print(f"{split}: {counts[split]} images")
     print(f"manifest: {manifest}")
     return 0
@@ -242,6 +227,8 @@ def cmd_eval(cfg: dict) -> int:
     e = cfg["eval"]
     if not e["checkpoint"] or not e["manifest"]:
         raise ConfigError("eval.checkpoint and eval.manifest are required")
+    if e["split"] not in SPLITS:
+        raise ConfigError(f"eval.split must be one of {SPLITS}, got {e['split']!r}")
     ckpt = load_checkpoint(e["checkpoint"])
     records = _split_records(e["manifest"])[e["split"]]
     params = ckpt.params
@@ -249,7 +236,7 @@ def cmd_eval(cfg: dict) -> int:
     if e["use_best"] and ckpt.best_params is not None:
         params = {n: Tensor(v) for n, v in param_views(ckpt.config, ckpt.best_params).items()}
         used = f"best (epoch {ckpt.best_epoch})"
-    report = evaluate(ckpt.config, params, records, _aug_config(cfg),
+    report = evaluate(ckpt.config, params, records, _build(cfg, "aug"),
                       batch_size=e["batch_size"])
     report_path = os.path.join(cfg["out"], "eval_report.json")
     with open(report_path, "w") as f:
@@ -309,54 +296,46 @@ def cmd_bench(cfg: dict) -> int:
 # -------------------------------------------------------------- entry point
 
 
+# each command's function, help line and own flags, as (config key, argparse
+# keywords); a command's flags override its config section of the same name
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic benchmark dataset", ()),
+    "train": (cmd_train, "train a model from a dataset manifest",
+              (("manifest", dict(metavar="PATH", help="dataset manifest CSV")),
+               ("epochs", dict(type=int, help="override epoch count")))),
+    "eval": (cmd_eval, "evaluate a checkpoint on a manifest split",
+             (("checkpoint", dict(metavar="PATH")), ("manifest", dict(metavar="PATH")),
+              ("split", dict(choices=SPLITS)))),
+    "inspect": (cmd_inspect, "print parameter/FLOP table for the presets",
+                (("checkpoint", dict(metavar="PATH")),)),
+    "bench": (cmd_bench, "time eval-mode forward passes", ()),
+}
+# the flags every command takes; they override top-level keys
+COMMON_FLAGS = (("seed", dict(type=int, help="override the run seed")),
+                ("workers", dict(type=int, help="worker count for synthesis")),
+                ("out", dict(metavar="DIR", help="output directory")))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swinqa",
                      description="shifted-window transformer for binary "
                                  "image-quality classification")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "synth": (cmd_synth, "generate a synthetic benchmark dataset"),
-        "train": (cmd_train, "train a model from a dataset manifest"),
-        "eval": (cmd_eval, "evaluate a checkpoint on a manifest split"),
-        "inspect": (cmd_inspect, "print parameter/FLOP table for the presets"),
-        "bench": (cmd_bench, "time eval-mode forward passes"),
-    }
-    for name, (func, help_text) in specs.items():
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--config", metavar="PATH", help="JSON run config")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--workers", type=int, help="worker count for synthesis")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        if name == "train":
-            p.add_argument("--manifest", metavar="PATH",
-                           help="dataset manifest CSV")
-            p.add_argument("--epochs", type=int, help="override epoch count")
-        if name == "eval":
-            p.add_argument("--checkpoint", metavar="PATH")
-            p.add_argument("--manifest", metavar="PATH")
-            p.add_argument("--split", choices=("train", "val", "test"))
-        if name == "inspect":
-            p.add_argument("--checkpoint", metavar="PATH")
+        for key, kwargs in COMMON_FLAGS + flags:
+            p.add_argument(f"--{key}", **kwargs)
     return parser
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in ("seed", "workers", "out"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    section = {
-        cmd_train: ("train", ("manifest", "epochs")),
-        cmd_eval: ("eval", ("checkpoint", "manifest", "split")),
-        cmd_inspect: ("inspect", ("checkpoint",)),
-    }.get(args.func)
-    if section is not None:
-        name, keys = section
-        sub = {k: getattr(args, k) for k in keys
-               if getattr(args, k, None) is not None}
-        if sub:
-            overrides[name] = sub
+    def given(flags):
+        return {k: getattr(args, k) for k, _ in flags if getattr(args, k) is not None}
+
+    overrides = given(COMMON_FLAGS)
+    if own := given(COMMANDS[args.command][2]):
+        overrides[args.command] = own
     return overrides
 
 
@@ -366,7 +345,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_run_config(args.config, _flag_overrides(args))
         write_resolved_config(cfg, cfg["out"])
-        return args.func(cfg)
+        return COMMANDS[args.command][0](cfg)
     except TrainAbort as e:
         print(f"aborted: {e}", file=sys.stderr)
         return 2

@@ -256,6 +256,8 @@ def evaluate(cfg: SwinConfig, params: dict, records, aug_cfg: AugConfig | None =
     records = list(records)
     if not records:
         raise ValueError("cannot evaluate an empty dataset")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     aug_cfg = aug_cfg if aug_cfg is not None else AugConfig()
     scores, labels, entropies = [], [], []
     loss_sum = 0.0

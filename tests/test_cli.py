@@ -2,6 +2,7 @@
 config precedence, and determinism of emitted files."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -91,6 +92,19 @@ def test_perfbench_desk_recipe_is_the_criterion_8_recipe(tmp_path):
 def test_defaults_are_json_round_trippable():
     assert json.loads(json.dumps(DEFAULTS)) == DEFAULTS
     assert DEFAULTS["schema_version"] == SCHEMA_VERSION
+    text = json.dumps(DEFAULTS, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "50a052a4b7c14439c88b8e0412e52097bc5f56b14066b0eef56cd1ae21f08c9c"), (
+        "the default run config changed: the synth, train and aug sections are the field "
+        "defaults of SynthSpec, TrainConfig and AugConfig, so changing a dataclass default "
+        "now changes the CLI")
+
+
+def test_int_config_value_passes_as_float(tmp_path):
+    path = write_config(tmp_path, train={"base_lr": 1, "drop_path_max": 0},
+                        aug={"erase_scale": [1, 2]})
+    tcfg = cli._train_config(load_run_config(path, {"out": str(tmp_path)}))
+    assert tcfg.base_lr == 1 and tcfg.aug.erase_scale == (1, 2)
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -122,6 +136,47 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--out", str(tmp_path / "o")]) == 1  # missing paths
     err = capsys.readouterr().err
     assert "eval.checkpoint" in err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A tiny dataset manifest and a `micro` checkpoint that fits it."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    manifest = synth_small(tmp)
+    scfg = preset("micro")
+    ckpt = str(tmp / "w.swq")
+    save_checkpoint(ckpt, Checkpoint(config=scfg,
+                                     params=init_params(scfg, np.random.default_rng(0))))
+    return manifest, ckpt
+
+
+@pytest.mark.parametrize("command, sections, key", [
+    ("synth", {"synth": {"object_count": 3}}, "synth.object_count"),
+    ("synth", {"synth": {"size": "64"}}, "synth.size"),
+    ("synth", {"synth": {"object_radius": [4, "9"]}}, "synth.object_radius"),
+    ("synth", {"synth": {"noise_sigma": math.nan}}, "synth.noise_sigma"),
+    ("train", {"train": {"epochs": "ten"}}, "train.epochs"),
+    ("train", {"train": {"epochs": True}}, "train.epochs"),  # a bool is not an int
+    ("train", {"aug": {"randaug_n": "2"}}, "aug.randaug_n"),
+    ("train", {"train": {"batch_size": 2.5, "epochs": 1, "warmup_epochs": 0}},
+     "train.batch_size"),
+    ("bench", {"bench": {"n_timed": "10"}}, "bench.n_timed"),
+    ("bench", {"bench": {"img_size": "64"}}, "bench.img_size"),
+    ("inspect", {"inspect": {"checkpoint": ["w.swq"]}}, "inspect.checkpoint"),
+    ("eval", {"eval": {"split": "foo"}}, "eval.split"),
+    ("eval", {"eval": {"batch_size": 0}}, "batch_size"),
+])
+def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections, key):
+    manifest, ckpt = small_run
+    flags = {"train": ["--manifest", manifest],
+             "eval": ["--checkpoint", ckpt, "--manifest", manifest]}.get(command, [])
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, **sections)
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+    assert "Traceback" not in err
+    assert not (out / "checkpoint.swq").exists()
 
 
 def test_bad_config_file(tmp_path, capsys):

@@ -1,0 +1,84 @@
+"""Print the size of the swinqa package and of its training graph.
+
+    python3 tools/src_stats.py <tree>
+
+<tree> is the root of a swinqa source tree; the script imports swinqa from
+<tree>/src. It prints the line count of each module in src/swinqa and
+their total, then the autodiff nodes that one training-mode forward of
+`micro` at batch 4 records: the nodes reachable from the loss through
+`_parents` (the loss itself counted apart), and how many of them each
+Swin block adds. Two trees are compared by running the script on each.
+"""
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # OpenBLAS reads these once, when numpy loads
+
+import numpy as np  # noqa: E402
+
+
+def op_nodes(out, stop=None) -> int:
+    """Nodes with parents reachable from `out`, not walking past `stop`."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node is stop or not node._parents:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+def graph_counts(swin, tensor) -> tuple[int, list[int]]:
+    """(nodes of the forward and loss, nodes added by each block in order)."""
+    blocks = []
+    block = swin.swin_block
+
+    def counted(x, *args, **kwargs):
+        out = block(x, *args, **kwargs)
+        blocks.append((x.values, out.values))
+        return out
+
+    cfg = swin.preset("micro")
+    rng = np.random.default_rng(0)
+    params = swin.init_params(cfg, rng)
+    x = tensor.Tensor(rng.random((4, cfg.img_size, cfg.img_size, 3)))
+    swin.swin_block = counted
+    try:
+        logits = swin.forward(x, cfg, params, training=True, rng=np.random.default_rng(1))
+    finally:
+        swin.swin_block = block
+    loss = tensor.cross_entropy_soft(logits, tensor.Tensor(np.eye(cfg.num_classes)[[0, 1, 1, 0]]))
+    return op_nodes(loss), [op_nodes(out, stop=x_in) for x_in, out in blocks]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/src_stats.py <tree>", file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    package = src / "swinqa"
+    if not (package / "__init__.py").is_file():
+        print(f"error: no swinqa package under {src}", file=sys.stderr)
+        return 2
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        lines = len(path.read_text().splitlines())
+        total += lines
+        print(f"{lines:>6}  src/swinqa/{path.name}")
+    print(f"{total:>6}  total")
+    sys.path.insert(0, str(src))
+    from swinqa import swin, tensor
+
+    nodes, per_block = graph_counts(swin, tensor)
+    print(f"micro training forward, batch 4: {nodes - 1} nodes ({nodes} with the loss)")
+    print(f"nodes per block: {' '.join(map(str, per_block))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
