@@ -25,7 +25,7 @@ from .tensor import (
     LN_EPS,
     ShapeError,
     Tensor,
-    concat,
+    concat,  # not called here; tools that trace the model wrap swin.concat
     default_dtype,
     gelu,  # not called here; tools that trace the model wrap swin.gelu
     gelu_bwd,
@@ -213,14 +213,6 @@ class AttentionMask:
     values: np.ndarray  # [n_windows, window^2, window^2], constant (no grad)
 
 
-@dataclass
-class RelPosBias:
-    """Learned per-head bias over relative in-window offsets: `table` is
-    [(2M-1)^2, heads], its rows indexed by relative_position_index(M)."""
-
-    table: Tensor
-
-
 @functools.lru_cache(maxsize=None)
 def relative_position_index(window: int) -> np.ndarray:
     """Table-row index per (query, key) token pair inside one window."""
@@ -232,11 +224,12 @@ def relative_position_index(window: int) -> np.ndarray:
     return idx
 
 
-def rel_pos_bias(table: Tensor, window: int) -> RelPosBias:
+def rel_pos_bias(table: Tensor, window: int) -> Tensor:
+    """`table`, checked to have a row per relative offset in window M."""
     rows = (2 * window - 1) ** 2
     if table.shape[0] != rows:
         raise ShapeError(f"bias table {table.shape} does not match window {window} ({rows} rows)")
-    return RelPosBias(table)
+    return table
 
 
 # ------------------------------------------------------------------ ops
@@ -267,23 +260,23 @@ def linear_embed(fm: FeatureMap, weight: Tensor, bias: Tensor) -> FeatureMap:
 def window_partition(fm: FeatureMap, window: int) -> WindowSet:
     if fm.height % window or fm.width % window:
         raise ShapeError(f"grid {fm.height}x{fm.width} not divisible by window {window}")
-    perm, _ = _perm_cached(fm.height, fm.width, window, 0)
-    t = fm.values[:, perm].reshape(fm.batch, -1, window * window, fm.dim)
-    return WindowSet(window, fm.dim, (fm.height, fm.width), t)
+    t = gather_tokens(fm.values, *_perm_cached(fm.height, fm.width, window, 0))
+    return WindowSet(window, fm.dim, (fm.height, fm.width),
+                     t.reshape(fm.batch, -1, window * window, fm.dim))
 
 
 def window_reverse(ws: WindowSet) -> FeatureMap:
     h, w = ws.grid
-    _, inv = _perm_cached(h, w, ws.window, 0)
-    t = ws.values.reshape(ws.values.shape[0], h * w, ws.dim)[:, inv]
+    perm, inv = _perm_cached(h, w, ws.window, 0)
+    t = gather_tokens(ws.values.reshape(ws.values.shape[0], h * w, ws.dim), inv, perm)
     return FeatureMap(h, w, ws.dim, t)
 
 
 def cyclic_shift(fm: FeatureMap, d: int) -> FeatureMap:
     """Torus roll by d tokens on both grid axes (negative rolls up/left):
     the token order of one-token windows rolled by d."""
-    perm, _ = _perm_cached(fm.height, fm.width, 1, -d)
-    return FeatureMap(fm.height, fm.width, fm.dim, fm.values[:, perm])
+    t = gather_tokens(fm.values, *_perm_cached(fm.height, fm.width, 1, -d))
+    return FeatureMap(fm.height, fm.width, fm.dim, t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,18 +301,33 @@ def _mask_cached(h: int, w: int, window: int, shift: int, dtype_name: str) -> At
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_cached(h: int, w: int, window: int, shift: int) -> tuple:
+def _perm_cached(h: int, w: int, window: int, shift: int, col_major: bool = False) -> tuple:
     """(perm, inv) for an h x w token grid rolled by -shift on both axes and
     cut into window x window tiles: position j of the window-ordered
     sequence (windows in row-major tile order, tokens row-major inside a
-    window) holds token perm[j], and inv is the inverse permutation. Every
-    window op takes its token order from here; window 1 is the roll alone."""
+    window, column-major if col_major) holds token perm[j]; inv is its
+    inverse. Every reorder of a feature map's tokens takes its order from
+    here: window 1 is the roll alone, column-major window 2 the merge order."""
     m = window
     grid = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift), (0, 1))
-    perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1)
+    inner = (3, 1) if col_major else (1, 3)
+    perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, *inner).reshape(-1)
     inv = np.argsort(perm)
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv
+
+
+def gather_tokens(x: Tensor, perm: np.ndarray, inv: np.ndarray) -> Tensor:
+    """x[:, perm] for x [B, T, ...] and a permutation `perm` of its T tokens
+    with inverse `inv`, as one contiguous copy. Each token is written once,
+    so the backward is exact as the gradient gathered through inv."""
+    if x.ndim < 2 or perm.shape != (x.shape[1],):
+        raise ShapeError(f"token permutation {perm.shape} does not match {x.shape}")
+
+    def bwd(g):
+        x._accumulate(np.take(g, inv, axis=1))
+
+    return Tensor._from_op(np.take(x.data, perm, axis=1), (x,), bwd)
 
 
 def build_sw_attention_mask(h: int, w: int, window: int, shift: int | None = None) -> AttentionMask:
@@ -415,14 +423,14 @@ def _check_attention(what: str, d: int, n_windows: int, window: int, heads: int,
 
 
 def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
-                     proj_weight: Tensor, proj_bias: Tensor, bias: RelPosBias,
+                     proj_weight: Tensor, proj_bias: Tensor, table: Tensor,
                      mask: AttentionMask | None, heads: int) -> WindowSet:
     """Multi-head self-attention inside each window (see attention_fwd) as
     one graph node around the kernels that attention_branch runs. Its
     parents are the window values, the four projection parameters and the
     bias table."""
     b, n_windows, n, d = ws.values.shape
-    params = (qkv_weight, qkv_bias, proj_weight, proj_bias, bias.table)
+    params = (qkv_weight, qkv_bias, proj_weight, proj_bias, table)
     _check_attention("window attention", d, n_windows, ws.window, heads, mask, params)
     x = ws.values
     x2 = x.data.reshape(-1, d)
@@ -434,7 +442,7 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
 
     def bwd(g):
         dx, *grads = attention_bwd(g.reshape(-1, d), x2, qkv, p, o, qkv_weight.data,
-                                   proj_weight.data, bias.table.data, heads)
+                                   proj_weight.data, table.data, heads)
         for param, grad in zip(params, grads):
             param._accumulate(grad)
         x._accumulate(dx.reshape(x.shape))
@@ -627,14 +635,13 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
 
 def merge_2x2_concat(fm: FeatureMap) -> FeatureMap:
     """Concatenate each 2x2 token neighborhood along channels in fixed
-    (top-left, bottom-left, top-right, bottom-right) order."""
+    (top-left, bottom-left, top-right, bottom-right) order: one gather of
+    the tokens into that order, then a reshape."""
     if fm.height % 2 or fm.width % 2:
         raise ShapeError(f"grid {fm.height}x{fm.width} must be even to merge")
-    g = fm.grid_values()
-    parts = [g[:, 0::2, 0::2], g[:, 1::2, 0::2], g[:, 0::2, 1::2], g[:, 1::2, 1::2]]
-    cat = concat(parts, axis=-1)
+    t = gather_tokens(fm.values, *_perm_cached(fm.height, fm.width, 2, 0, col_major=True))
     h2, w2 = fm.height // 2, fm.width // 2
-    return FeatureMap(h2, w2, 4 * fm.dim, cat.reshape(fm.batch, h2 * w2, 4 * fm.dim))
+    return FeatureMap(h2, w2, 4 * fm.dim, t.reshape(fm.batch, h2 * w2, 4 * fm.dim))
 
 
 def patch_merging(fm: FeatureMap, norm_gamma: Tensor, norm_beta: Tensor,

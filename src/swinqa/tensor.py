@@ -141,9 +141,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _wants_grad(self) -> bool:
         """Whether a gradient for this tensor is read: a leaf that requires
         it, or an op node whose backward passes it on (not a constant)."""
@@ -252,29 +249,25 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         a = self
         out_data = a.data[idx]
-        # basic indexing or a permutation index: each source element appears
-        # at most once, so the backward's += needs no np.add.at
-        if out_data.base is not None:
+        # a view (basic indexing) is copied, so the graph holds no alias; an
+        # index array may repeat an element, and np.add.at adds every repeat
+        view = np.may_share_memory(out_data, a.data)
+        if view:
             out_data = out_data.copy()
 
         def bwd(g):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+            if view:
+                a.grad[idx] += g
+            else:
+                np.add.at(a.grad, idx, g)
 
         return Tensor._from_op(out_data, (a,), bwd)
 
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Gather rows along axis 0 by an integer index array (may repeat)."""
-        a = self
-        idx = np.asarray(indices)
-
-        def bwd(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-        return Tensor._from_op(a.data[idx], (a,), bwd)
+        return self[np.asarray(indices)]
 
     def roll(self, shifts, axes) -> "Tensor":
         a = self

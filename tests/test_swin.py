@@ -25,6 +25,7 @@ from swinqa.swin import (
     count_params,
     cyclic_shift,
     forward,
+    gather_tokens,
     init_params,
     linear_embed,
     merge_2x2_concat,
@@ -996,6 +997,28 @@ def test_swin_block_graph_node_count(shifted, limit):
     assert graph_nodes(out.values) <= limit
 
 
+def test_micro_forward_graph_node_count(monkeypatch):
+    """A micro training forward at batch 4 records at most 30 nodes: two
+    per block, and per patch merging at most four (the token gather, its
+    reshape, the layer norm and the GEMM)."""
+    merges, merging = [], swin.patch_merging
+
+    def counted(fm, *args):
+        out = merging(fm, *args)
+        merges.append(graph_nodes(out.values) - graph_nodes(fm.values))
+        return out
+
+    monkeypatch.setattr(swin, "patch_merging", counted)
+    cfg = preset("micro")
+    rng = np.random.default_rng(38)
+    with using_dtype("float32"):
+        params = init_params(cfg, rng)
+        logits = forward(rng.random((4, 64, 64, 3)), cfg, params, training=True,
+                         rng=np.random.default_rng(1))
+    assert graph_nodes(logits) <= 30
+    assert len(merges) == 3 and max(merges) <= 4
+
+
 @pytest.mark.parametrize("shifted", [False, True])
 def test_swin_block_eval_allocates_block_sized_scratch(shifted):
     """A no-grad block at the micro stage-0 shape, batch 64: beyond its
@@ -1041,6 +1064,51 @@ def test_merge_concat_order():
     assert np.array_equal(out.values.data[0, 0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapeError):
         merge_2x2_concat(fmap(np.zeros((3, 4, 2))))
+
+
+def merge_by_slices(fm: FeatureMap) -> Tensor:
+    """The merge as four strided slices of the grid and a concat: the
+    reference for the token order that merge_2x2_concat gathers in."""
+    g = fm.grid_values()
+    parts = [g[:, 0::2, 0::2], g[:, 1::2, 0::2], g[:, 0::2, 1::2], g[:, 1::2, 1::2]]
+    h2, w2 = fm.height // 2, fm.width // 2
+    return concat(parts, axis=-1).reshape(fm.batch, h2 * w2, 4 * fm.dim)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grid=st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda g: g[0] != g[1]),
+       batch=st.integers(1, 3), dim=st.integers(1, 5),
+       dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**32 - 1))
+def test_merge_matches_four_slice_reference(grid, batch, dim, dtype, seed):
+    """Byte for byte, forward and input gradient, on non-square grids."""
+    h, w = 2 * grid[0], 2 * grid[1]
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((batch, h * w, dim))
+    mix = rng.standard_normal((batch, h * w // 4, 4 * dim))
+    results = []
+    with using_dtype(dtype):
+        for merge in (lambda fm: merge_2x2_concat(fm).values, merge_by_slices):
+            x = Tensor(x0, requires_grad=True)
+            out = merge(FeatureMap(h, w, dim, x))
+            backward((out * Tensor(mix)).sum())
+            results.append((out.data.dtype, out.shape, out.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_gather_tokens_grad_check_and_shapes():
+    rng = np.random.default_rng(39)
+    perm = rng.permutation(12)
+    inv = np.argsort(perm)
+    mix = Tensor(rng.standard_normal((2, 12, 3)))
+    x = Tensor(rng.standard_normal((2, 12, 3)))
+    # x enters twice, so the backward both starts and adds to x's gradient
+    assert grad_check(lambda t: (gather_tokens(t, perm, inv) * t * mix).sum(), x) < 1e-4
+    out = gather_tokens(x, perm, inv).data
+    assert np.array_equal(out, x.data[:, perm]) and out.flags.c_contiguous
+    assert not np.shares_memory(out, x.data)
+    with pytest.raises(ShapeError):
+        gather_tokens(x, perm[:6], inv[:6])
 
 
 def test_patch_merging_shapes_and_constant():

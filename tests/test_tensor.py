@@ -1,6 +1,7 @@
 """Autodiff engine: forward values against independent oracles, gradients
 against finite differences."""
 
+import tracemalloc
 import warnings
 import zlib
 
@@ -214,6 +215,7 @@ def test_grad_check_primitives():
     tg = np.random.default_rng(96).random((5, 4))
     tg /= tg.sum(-1, keepdims=True)
     perm = np.random.default_rng(95).permutation(6)
+    repeat = np.array([0, 3, 0, 4, 0])
     cases = {
         "add": (lambda t: (t + t * 0.5).sum(), (5, 6)),
         "mul": (lambda t: (t * t).mean(), (5, 6)),
@@ -227,12 +229,29 @@ def test_grad_check_primitives():
             lambda t: (t.reshape(6, 5).transpose(1, 0) * t.reshape(5, 6)).sum(), (5, 6)),
         "getitem": (lambda t: (t[1:4, ::2] * 2.0).sum(), (5, 6)),
         "getitem_perm": (lambda t: (t[:, perm] * t).sum(), (5, 6)),
+        "getitem_repeat": (lambda t: (t[repeat, 1:] ** 2.0).sum(), (5, 6)),
         "roll": (lambda t: (t.roll((1, -2), (0, 1)) * t).sum(), (5, 6)),
         "mean_axis": (lambda t: (t.mean(axis=0) ** 2.0).sum(), (5, 6)),
     }
     for name, (f, shape) in cases.items():
         err = _gc(f, shape, seed=zlib.crc32(name.encode()))
         assert err < tol, f"{name}: rel err {err}"
+
+
+def test_getitem_index_array_is_not_copied_again():
+    """numpy builds t.data[:, perm] in a fresh buffer; the op keeps that
+    buffer, so the traced peak stays about one output's bytes."""
+    rng = np.random.default_rng(94)
+    t = Tensor(rng.standard_normal((64, 256, 24)))
+    perm = rng.permutation(256)
+    tracemalloc.start()
+    try:
+        out = t[:, perm]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.data, t.data[:, perm])
+    assert peak < 1.5 * out.data.nbytes
 
 
 def test_grad_check_matmul_3d_left_2d_right():

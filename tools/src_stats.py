@@ -6,8 +6,9 @@
 <tree>/src. It prints the line count of each module in src/swinqa and
 their total, then the autodiff nodes that one training-mode forward of
 `micro` at batch 4 records: the nodes reachable from the loss through
-`_parents` (the loss itself counted apart), and how many of them each
-Swin block adds. Two trees are compared by running the script on each.
+`_parents` (the loss itself counted apart), how many of them each Swin
+block and each patch merging adds, and the rest, which the stem and the
+head add. Two trees are compared by running the script on each.
 """
 from __future__ import annotations
 
@@ -33,27 +34,33 @@ def op_nodes(out, stop=None) -> int:
     return len(seen)
 
 
-def graph_counts(swin, tensor) -> tuple[int, list[int]]:
-    """(nodes of the forward and loss, nodes added by each block in order)."""
-    blocks = []
-    block = swin.swin_block
+def graph_counts(swin, tensor) -> tuple[int, dict]:
+    """(nodes of the forward and loss, {layer: nodes added by each call in
+    order}) for the layers swin_block and patch_merging."""
+    calls = {"swin_block": [], "patch_merging": []}
+    layers = {name: getattr(swin, name) for name in calls}
 
-    def counted(x, *args, **kwargs):
-        out = block(x, *args, **kwargs)
-        blocks.append((x.values, out.values))
-        return out
+    def counting(name):
+        def counted(fm, *args, **kwargs):
+            out = layers[name](fm, *args, **kwargs)
+            calls[name].append((fm.values, out.values))
+            return out
+        return counted
 
     cfg = swin.preset("micro")
     rng = np.random.default_rng(0)
     params = swin.init_params(cfg, rng)
     x = tensor.Tensor(rng.random((4, cfg.img_size, cfg.img_size, 3)))
-    swin.swin_block = counted
+    for name in calls:
+        setattr(swin, name, counting(name))
     try:
         logits = swin.forward(x, cfg, params, training=True, rng=np.random.default_rng(1))
     finally:
-        swin.swin_block = block
+        for name, layer in layers.items():
+            setattr(swin, name, layer)
     loss = tensor.cross_entropy_soft(logits, tensor.Tensor(np.eye(cfg.num_classes)[[0, 1, 1, 0]]))
-    return op_nodes(loss), [op_nodes(out, stop=x_in) for x_in, out in blocks]
+    return op_nodes(loss), {name: [op_nodes(out, stop=x_in) for x_in, out in pairs]
+                            for name, pairs in calls.items()}
 
 
 def main(argv) -> int:
@@ -74,9 +81,12 @@ def main(argv) -> int:
     sys.path.insert(0, str(src))
     from swinqa import swin, tensor
 
-    nodes, per_block = graph_counts(swin, tensor)
+    nodes, per_call = graph_counts(swin, tensor)
+    per_block, per_merge = per_call["swin_block"], per_call["patch_merging"]
     print(f"micro training forward, batch 4: {nodes - 1} nodes ({nodes} with the loss)")
     print(f"nodes per block: {' '.join(map(str, per_block))}")
+    print(f"nodes per merge: {' '.join(map(str, per_merge))}")
+    print(f"stem and head: {nodes - 1 - sum(per_block) - sum(per_merge)} nodes")
     return 0
 
 
