@@ -197,7 +197,8 @@ def mix_batch(batch: LabeledBatch, cfg: AugConfig, rng) -> LabeledBatch:
 
 
 def random_erasing(image: np.ndarray, cfg: AugConfig, rng) -> np.ndarray:
-    """With probability erase_prob, replace one rectangle with uniform noise.
+    """With probability erase_prob, replace one rectangle of a three-plane
+    copy of the image with uniform noise; else return the image as it is.
     Rectangle area/aspect are drawn from the configured ranges (aspect
     log-uniform), rejection-sampled at most 10 times."""
     if rng.random() >= cfg.erase_prob:
@@ -212,8 +213,8 @@ def random_erasing(image: np.ndarray, cfg: AugConfig, rng) -> np.ndarray:
         if 0 < eh <= h and 0 < ew <= w:
             top = int(rng.integers(0, h - eh + 1))
             left = int(rng.integers(0, w - ew + 1))
-            out = image.copy()
-            out[top:top + eh, left:left + ew] = rng.random((eh, ew) + image.shape[2:])
+            out = to_rgb01(image).copy()
+            out[top:top + eh, left:left + ew] = rng.random((eh, ew, 3))
             return out
     return image
 
@@ -400,11 +401,10 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
 
     mode "train": resize -> RandAugment -> color jitter -> MixUp-or-CutMix
     -> random erasing -> normalize (requires rng). A batch of grayscale
-    images stays one plane until erasing, which draws its noise per
-    channel; a batch with any color image is color throughout. mode
-    "eval": resize and normalize only; rng must be None (no stochastic
-    ops on that path). Returns (images [B, size, size, 3] normalized,
-    soft labels [B, K]).
+    images stays one plane unless erasing draws on one of them; a batch
+    with any color image is color throughout. mode "eval": resize and
+    normalize only; rng must be None (no stochastic ops on that path).
+    Returns (images [B, size, size, 3] normalized, soft labels [B, K]).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -429,5 +429,7 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     batch = LabeledBatch(augd, soft)
     if batch.images.shape[0] >= 2:
         batch = mix_batch(batch, cfg, rng)
-    erased = np.stack([random_erasing(to_rgb01(im), cfg, rng) for im in batch.images])
-    return normalize(erased, cfg), batch.labels
+    erased = [random_erasing(im, cfg, rng) for im in batch.images]
+    if any(im.shape[-1] == 3 for im in erased):
+        erased = [to_rgb01(im) for im in erased]
+    return normalize(np.stack(erased), cfg), batch.labels

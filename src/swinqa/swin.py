@@ -1,8 +1,8 @@
 """Hierarchical shifted-window transformer for image classification.
 
-Pixels enter as 4x4 patches (48-dim tokens), pass through four stages of
-window-attention blocks with patch merging in between, and leave as
-class logits after a final layer norm, mean pool, and linear head.
+Pixels enter as patches (4x4x3 = 48-dim tokens by default), pass through
+four stages of window-attention blocks with patch merging in between, and
+leave as class logits after a final layer norm, mean pool, and linear head.
 Window attention alternates between unshifted and cyclically shifted
 placements; shifted windows get an additive mask that blocks attention
 between tokens wrapped from opposite map edges, plus a learned per-head
@@ -86,6 +86,8 @@ class SwinConfig:
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(self.depths))
         object.__setattr__(self, "heads", tuple(self.heads))
+        if self.patch_size < 1 or self.in_channels < 1:
+            raise ValueError("patch_size and in_channels must be >= 1")
         if self.img_size <= 0 or self.img_size % self.patch_size:
             raise ValueError(f"img_size {self.img_size} not divisible by patch {self.patch_size}")
         if not 1 <= len(self.depths) <= 4 or len(self.depths) != len(self.heads):
@@ -235,19 +237,39 @@ def rel_pos_bias(table: Tensor, window: int) -> Tensor:
 # ------------------------------------------------------------------ ops
 
 
-def patch_partition(image) -> FeatureMap:
-    """Rearrange [H, W, 3] (or batched) pixels into flattened 4x4x3 tokens."""
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.ndim == 3:
-        x = x.reshape(1, *x.shape)
-    if x.ndim != 4 or x.shape[-1] != 3:
-        raise ShapeError(f"expected [B, H, W, 3] pixels, got {x.shape}")
-    b, h, w, c = x.shape
-    if h % 4 or w % 4:
-        raise ShapeError(f"image extents {h}x{w} not divisible by 4")
-    hp, wp = h // 4, w // 4
-    t = x.reshape(b, hp, 4, wp, 4, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, hp * wp, 48)
-    return FeatureMap(hp, wp, 48, t)
+def concat_tiles(x, h: int, w: int, k: int, col_major: bool = False) -> Tensor:
+    """Each k x k tile of an h x w token grid as one token: [B, h*w, c] or
+    [B, h, w, c] in, [B, (h/k)(w/k), k*k*c] out, tiles in row-major order
+    and values row-major inside a tile, or column-major if col_major (for
+    k = 2: top-left, bottom-left, top-right, bottom-right). `x` is a Tensor
+    or a constant array of any float dtype. The output is one transposed
+    copy straight into the engine dtype, and one graph node whose parent is
+    x if x is a Tensor; its backward copies the gradient back through the
+    inverse transpose."""
+    data, parents = (x.data, (x,)) if isinstance(x, Tensor) else (np.asarray(x), ())
+    if data.shape[1:-1] not in ((h * w,), (h, w)) or h % k or w % k:
+        raise ShapeError(f"tokens {data.shape} are not an {h}x{w} grid of {k}x{k} tiles")
+    b, c = data.shape[0], data.shape[-1]
+    axes = (0, 1, 3, 4, 2, 5) if col_major else (0, 1, 3, 2, 4, 5)
+    out = np.empty((b, h // k, w // k, k, k, c), dtype=default_dtype())
+    out[...] = data.reshape(b, h // k, k, w // k, k, c).transpose(axes)
+
+    def bwd(g):
+        x._accumulate(g.reshape(out.shape).transpose(np.argsort(axes)).reshape(x.shape))
+
+    return Tensor._from_op(out.reshape(b, -1, k * k * c), parents, bwd)
+
+
+def patch_partition(image, patch: int) -> FeatureMap:
+    """Flattened patch x patch x C tokens of [H, W, C] (or batched) pixels,
+    a Tensor or an array: one concat_tiles copy into the engine dtype."""
+    if image.ndim == 3:
+        image = image.reshape(1, *image.shape)
+    if image.ndim != 4:
+        raise ShapeError(f"expected [B, H, W, C] pixels, got {image.shape}")
+    h, w = image.shape[1:3]
+    t = concat_tiles(image, h, w, patch)
+    return FeatureMap(h // patch, w // patch, t.shape[-1], t)
 
 
 def linear_embed(fm: FeatureMap, weight: Tensor, bias: Tensor) -> FeatureMap:
@@ -301,17 +323,15 @@ def _mask_cached(h: int, w: int, window: int, shift: int, dtype_name: str) -> At
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_cached(h: int, w: int, window: int, shift: int, col_major: bool = False) -> tuple:
+def _perm_cached(h: int, w: int, window: int, shift: int) -> tuple:
     """(perm, inv) for an h x w token grid rolled by -shift on both axes and
     cut into window x window tiles: position j of the window-ordered
     sequence (windows in row-major tile order, tokens row-major inside a
-    window, column-major if col_major) holds token perm[j]; inv is its
-    inverse. Every reorder of a feature map's tokens takes its order from
-    here: window 1 is the roll alone, column-major window 2 the merge order."""
+    window) holds token perm[j]; inv is its inverse. Every window op takes
+    its token order from here: window 1 is the roll alone."""
     m = window
     grid = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift), (0, 1))
-    inner = (3, 1) if col_major else (1, 3)
-    perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, *inner).reshape(-1)
+    perm = grid.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1)
     inv = np.argsort(perm)
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv
@@ -454,12 +474,11 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
 def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
                      qkv_weight: Tensor, qkv_bias: Tensor, proj_weight: Tensor,
                      proj_bias: Tensor, table: Tensor, window: int, heads: int,
-                     shift: int, mask: AttentionMask | None,
-                     gate: np.ndarray | None = None) -> Tensor:
+                     shift: int, gate: np.ndarray | None = None) -> Tensor:
     """Pre-norm attention residual branch on an h x w token grid:
     x + gate * A(LN(x)), where A rolls the map by -shift, runs
-    window_attention with relative-position bias `table` and `mask` (or
-    None), and rolls it back.
+    window_attention with relative-position bias `table` and the mask
+    build_sw_attention_mask gives for `shift` (none at 0), and rolls back.
 
     One graph node with a hand-written backward. Its parents are x
     [B, h*w, d] and the seven parameters; `gate` is a constant per-sample
@@ -471,16 +490,17 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
     block-sized scratch buffers without a graph, and into full-size buffers
     that attention_bwd reads with one."""
     m = window
-    if x.ndim != 3 or x.shape[1] != h * w or h % m or w % m:
-        raise ShapeError(f"attention branch on {x.shape}: not [B, {h}*{w}, d] "
-                         f"on a grid divisible by window {m}")
+    if x.ndim != 3 or x.shape[1] != h * w or h % m or w % m or not 0 <= shift < m:
+        raise ShapeError(f"attention branch on {x.shape}, shift {shift}: not [B, {h}*{w}, d] "
+                         f"on a grid divisible by window {m}, with 0 <= shift < {m}")
     b, t, d = x.shape
     n, n_windows = m * m, t // (m * m)
     attn = (qkv_weight, qkv_bias, proj_weight, proj_bias, table)
-    _check_attention("attention branch", d, n_windows, m, heads, mask, (gamma, beta) + attn)
+    _check_attention("attention branch", d, n_windows, m, heads, None, (gamma, beta) + attn)
     if gate is not None and gate.shape != (b,):
         raise ShapeError(f"gate {gate.shape} is not one factor per sample of {x.shape}")
     perm, inv = _perm_cached(h, w, m, shift)
+    mask = _mask_cached(h, w, m, shift, x.data.dtype.name) if shift else None
     parents = (x, gamma, beta) + attn
     records = records_graph(parents)
 
@@ -620,12 +640,11 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     shift = window // 2 if shifted else 0
     drop = training and drop_prob > 0.0
     dtype = x.values.data.dtype
-    mask = build_sw_attention_mask(x.height, x.width, window, shift) if shift else None
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
     x1 = attention_branch(x.values, x.height, x.width, bp["norm1.gamma"], bp["norm1.beta"],
                           bp["attn.qkv.weight"], bp["attn.qkv.bias"],
                           bp["attn.proj.weight"], bp["attn.proj.bias"],
-                          bp["attn.bias_table"], window, heads, shift, mask, gate)
+                          bp["attn.bias_table"], window, heads, shift, gate)
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
     out = mlp_branch(x1, bp["norm2.gamma"], bp["norm2.beta"],
                      bp["mlp.fc1.weight"], bp["mlp.fc1.bias"],
@@ -633,25 +652,14 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     return FeatureMap(x.height, x.width, x.dim, out)
 
 
-def merge_2x2_concat(fm: FeatureMap) -> FeatureMap:
-    """Concatenate each 2x2 token neighborhood along channels in fixed
-    (top-left, bottom-left, top-right, bottom-right) order: one gather of
-    the tokens into that order, then a reshape."""
-    if fm.height % 2 or fm.width % 2:
-        raise ShapeError(f"grid {fm.height}x{fm.width} must be even to merge")
-    t = gather_tokens(fm.values, *_perm_cached(fm.height, fm.width, 2, 0, col_major=True))
-    h2, w2 = fm.height // 2, fm.width // 2
-    return FeatureMap(h2, w2, 4 * fm.dim, t.reshape(fm.batch, h2 * w2, 4 * fm.dim))
-
-
 def patch_merging(fm: FeatureMap, norm_gamma: Tensor, norm_beta: Tensor,
                   reduction_weight: Tensor) -> FeatureMap:
-    """Downsample 2x: concat 2x2 neighborhoods (4D), layer norm, biasless
+    """Downsample 2x: concat 2x2 neighborhoods (4D) column-major, the order
+    the rows of the reduction weight mean, then layer norm and a biasless
     linear 4D -> 2D."""
-    cat = merge_2x2_concat(fm)
-    h = layer_norm(cat.values, norm_gamma, norm_beta)
-    out = matmul(h, reduction_weight)
-    return FeatureMap(cat.height, cat.width, reduction_weight.shape[1], out)
+    cat = concat_tiles(fm.values, fm.height, fm.width, 2, col_major=True)
+    out = matmul(layer_norm(cat, norm_gamma, norm_beta), reduction_weight)
+    return FeatureMap(fm.height // 2, fm.width // 2, reduction_weight.shape[1], out)
 
 
 # ------------------------------------------------------- parameters
@@ -795,19 +803,19 @@ def stochastic_depth_rates(p_max: float, total_blocks: int) -> list:
 
 
 def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=None) -> Tensor:
-    """Full model: [H, W, 3] -> [num_classes] logits (leading batch axis
-    maps through). Blocks within a stage alternate unshifted/shifted
-    starting unshifted; shift is skipped where one window covers the grid."""
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    single = x.ndim == 3
-    if single:
-        x = x.reshape(1, *x.shape)
-    if x.shape[1] != cfg.img_size or x.shape[2] != cfg.img_size:
-        raise ShapeError(f"input {x.shape} does not match img_size {cfg.img_size}")
+    """Full model: [H, W, C] pixels (a Tensor, or an array of any float
+    dtype, which the stem's one copy casts) -> [num_classes] logits; a
+    leading batch axis maps through. Blocks within a stage alternate
+    unshifted/shifted starting unshifted; shift is skipped where one window
+    covers the grid."""
+    single = image.ndim == 3
+    pixels = (cfg.img_size, cfg.img_size, cfg.in_channels)
+    if image.ndim not in (3, 4) or image.shape[-3:] != pixels:
+        raise ShapeError(f"input {image.shape} is not [B,] img_size^2 x in_channels {pixels}")
     if training and cfg.drop_path_max > 0 and rng is None:
         raise ValueError("training forward with stochastic depth needs an rng")
 
-    fm = patch_partition(x)
+    fm = patch_partition(image, cfg.patch_size)
     fm = linear_embed(fm, params["patch_embed.weight"], params["patch_embed.bias"])
     fm = FeatureMap(fm.height, fm.width, fm.dim,
                     layer_norm(fm.values, params["patch_embed.norm.gamma"],

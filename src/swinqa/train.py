@@ -598,7 +598,7 @@ def throughput(cfg: SwinConfig, batch_size: int, n_warmup: int = 3,
         raise ValueError("batch_size must be >= 1 and n_warmup >= 0")
     if params is None:
         params = init_params(cfg, np.random.default_rng(0))
-    x = np.random.default_rng(1).random((batch_size, cfg.img_size, cfg.img_size, 3))
+    x = np.random.default_rng(1).random((batch_size, cfg.img_size, cfg.img_size, cfg.in_channels))
     times = []
     with no_grad():
         for i in range(n_warmup + n_timed):

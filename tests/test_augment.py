@@ -223,6 +223,18 @@ def test_random_erasing_always_one_rectangle():
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def test_random_erasing_one_plane_as_three():
+    """A grayscale image is returned as it is when no rectangle is drawn,
+    else as the erased repeated plane, with the same draws."""
+    plane = np.random.default_rng(4).random((24, 24, 1))
+    assert random_erasing(plane, AugConfig(erase_prob=0.0), np.random.default_rng(9)) is plane
+    rng1, rng3 = np.random.default_rng(9), np.random.default_rng(9)
+    cfg = AugConfig(erase_prob=1.0)
+    out = random_erasing(plane, cfg, rng1)
+    assert np.array_equal(out, random_erasing(np.repeat(plane, 3, axis=-1), cfg, rng3))
+    assert rng1.bit_generator.state == rng3.bit_generator.state
+
+
 def test_random_erasing_deterministic():
     cfg = AugConfig(erase_prob=1.0)
     img = np.random.default_rng(3).random((24, 24, 3))

@@ -355,6 +355,26 @@ def test_checkpoint_with_trailing_bytes_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {path}: trailing bytes") and "Traceback" not in err
 
 
+def test_checkpoint_with_zero_patch_size_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    path = tmp_path / "zero_patch.swq"
+    save_checkpoint(str(path), Checkpoint(config=scfg,
+                                          params=init_params(scfg, np.random.default_rng(0))))
+    blob = path.read_bytes()
+    size = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + size])
+    header["config"]["patch_size"] = 0
+    edited = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + size:])
+    for args in (["inspect", "--checkpoint", str(path)],
+                 ["eval", "--checkpoint", str(path), "--manifest", manifest]):
+        assert main(args + ["--out", str(tmp_path / args[0])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "patch_size" in err, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_train_nan_abort_exits_2(tmp_path, capsys, monkeypatch):
     manifest = synth_small(tmp_path)
     # a checkpoint cannot carry NaN weights in (loading refuses them), so

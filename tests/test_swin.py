@@ -21,6 +21,7 @@ from swinqa.swin import (
     SwinConfig,
     attention_branch,
     build_sw_attention_mask,
+    concat_tiles,
     count_flops,
     count_params,
     cyclic_shift,
@@ -28,7 +29,6 @@ from swinqa.swin import (
     gather_tokens,
     init_params,
     linear_embed,
-    merge_2x2_concat,
     mlp_branch,
     param_layout,
     patch_merging,
@@ -121,6 +121,9 @@ def test_config_validation():
         SwinConfig(img_size=224, embed_dim=96, depths=(2,), heads=(3,), window=5)
     with pytest.raises(ValueError):  # dim 96 not divisible by 5 heads
         SwinConfig(img_size=224, embed_dim=96, depths=(2,), heads=(5,), window=7)
+    for over in (dict(patch_size=0), dict(patch_size=-4), dict(in_channels=0)):
+        with pytest.raises(ValueError, match="patch_size and in_channels"):
+            micro_cfg(**over)
 
 
 def test_effective_window_clamps_to_grid():
@@ -135,17 +138,17 @@ def test_effective_window_clamps_to_grid():
 
 
 def test_patch_partition_shapes():
-    fm = patch_partition(np.zeros((224, 224, 3)))
+    fm = patch_partition(np.zeros((224, 224, 3)), 4)
     assert (fm.height, fm.width, fm.dim) == (56, 56, 48)
-    fm = patch_partition(np.zeros((1024, 1024, 3)))
+    fm = patch_partition(np.zeros((1024, 1024, 3)), 4)
     assert (fm.height, fm.width) == (256, 256)
     with pytest.raises(ShapeError):
-        patch_partition(np.zeros((30, 32, 3)))
+        patch_partition(np.zeros((30, 32, 3)), 4)
 
 
 def test_patch_partition_single_patch_order():
     img = np.arange(48.0).reshape(4, 4, 3)  # value = 3*(4*row + col) + chan
-    fm = patch_partition(img)
+    fm = patch_partition(img, 4)
     assert fm.values.shape == (1, 1, 48)
     assert np.array_equal(fm.values.data[0, 0], np.arange(48.0))
 
@@ -153,7 +156,7 @@ def test_patch_partition_single_patch_order():
 def test_patch_partition_is_lossless_rearrangement():
     rng = np.random.default_rng(3)
     img = rng.random((8, 12, 3))
-    fm = patch_partition(img)
+    fm = patch_partition(img, 4)
     # token (r, c) holds the 4x4x3 block at rows 4r:4r+4, cols 4c:4c+4
     tok = fm.values.data[0].reshape(2, 3, 4, 4, 3)
     for r in range(2):
@@ -163,7 +166,7 @@ def test_patch_partition_is_lossless_rearrangement():
 
 def test_linear_embed_degenerate_weights():
     rng = np.random.default_rng(4)
-    fm = patch_partition(rng.random((8, 8, 3)))
+    fm = patch_partition(rng.random((8, 8, 3)), 4)
     eye = Tensor(np.eye(48))
     zero = Tensor(np.zeros(48))
     out = linear_embed(fm, eye, zero)
@@ -706,7 +709,7 @@ def branch_mask(grid, m, shift):
 
 def fused_branch(t, grid=(8, 8), m=4, heads=2, shift=0, gate=None) -> Tensor:
     return attention_branch(t["x"], *grid, *(t[k] for k in BRANCH_ARGS[1:]), m, heads,
-                            shift, branch_mask(grid, m, shift), gate)
+                            shift, gate)
 
 
 def composed_branch(t, grid=(8, 8), m=4, heads=2, shift=0, gate=None) -> Tensor:
@@ -863,9 +866,8 @@ def test_attention_branch_rejects_mismatched_shapes():
         fused_branch({**t, "table": Tensor(np.zeros((9, 2)))})
     with pytest.raises(ShapeError, match="divisible by window"):
         fused_branch(t, grid=(2, 32))
-    with pytest.raises(ShapeError, match="mask"):
-        attention_branch(t["x"], 8, 8, *(t[k] for k in BRANCH_ARGS[1:]), 4, 2, 2,
-                         build_sw_attention_mask(8, 8, 2, 1))
+    with pytest.raises(ShapeError, match="shift"):
+        fused_branch(t, shift=4)
     with pytest.raises(ShapeError, match="gate"):
         fused_branch(t, gate=np.ones(3))
 
@@ -998,9 +1000,9 @@ def test_swin_block_graph_node_count(shifted, limit):
 
 
 def test_micro_forward_graph_node_count(monkeypatch):
-    """A micro training forward at batch 4 records at most 30 nodes: two
-    per block, and per patch merging at most four (the token gather, its
-    reshape, the layer norm and the GEMM)."""
+    """A micro training forward at batch 4 records at most 27 nodes: two
+    per block, and per patch merging at most three (the tile concatenation,
+    the layer norm and the GEMM)."""
     merges, merging = [], swin.patch_merging
 
     def counted(fm, *args):
@@ -1015,8 +1017,8 @@ def test_micro_forward_graph_node_count(monkeypatch):
         params = init_params(cfg, rng)
         logits = forward(rng.random((4, 64, 64, 3)), cfg, params, training=True,
                          rng=np.random.default_rng(1))
-    assert graph_nodes(logits) <= 30
-    assert len(merges) == 3 and max(merges) <= 4
+    assert graph_nodes(logits) <= 27
+    assert len(merges) == 3 and max(merges) <= 3
 
 
 @pytest.mark.parametrize("shifted", [False, True])
@@ -1059,41 +1061,90 @@ def test_swin_block_gradcheck_shifted():
 def test_merge_concat_order():
     # 2x2 grid of 1-dim tokens a..d -> single token (TL, BL, TR, BR)
     grid = np.array([[[1.0], [3.0]], [[2.0], [4.0]]])  # TL=1, TR=3, BL=2, BR=4
-    out = merge_2x2_concat(fmap(grid))
-    assert out.values.shape == (1, 1, 4)
-    assert np.array_equal(out.values.data[0, 0], [1.0, 2.0, 3.0, 4.0])
+    out = concat_tiles(fmap(grid).values, 2, 2, 2, col_major=True)
+    assert out.shape == (1, 1, 4)
+    assert np.array_equal(out.data[0, 0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapeError):
-        merge_2x2_concat(fmap(np.zeros((3, 4, 2))))
+        concat_tiles(fmap(np.zeros((3, 4, 2))).values, 3, 4, 2, col_major=True)
 
 
-def merge_by_slices(fm: FeatureMap) -> Tensor:
-    """The merge as four strided slices of the grid and a concat: the
-    reference for the token order that merge_2x2_concat gathers in."""
-    g = fm.grid_values()
-    parts = [g[:, 0::2, 0::2], g[:, 1::2, 0::2], g[:, 0::2, 1::2], g[:, 1::2, 1::2]]
-    h2, w2 = fm.height // 2, fm.width // 2
-    return concat(parts, axis=-1).reshape(fm.batch, h2 * w2, 4 * fm.dim)
+def stem_by_reshapes(x: Tensor, k: int) -> Tensor:
+    """The k x k tiles of [B, H, W, C] through the reshape, transpose and
+    reshape chain the stem once ran: the reference for the row-major order
+    of concat_tiles."""
+    b, h, w, c = x.shape
+    t = x.reshape(b, h // k, k, w // k, k, c).transpose(0, 1, 3, 2, 4, 5)
+    return t.reshape(b, (h // k) * (w // k), k * k * c)
+
+
+def merge_by_slices(x: Tensor) -> Tensor:
+    """The 2x2 tiles of [B, H, W, C] as four strided slices and a concat:
+    the reference for the column-major order of concat_tiles."""
+    b, h, w, c = x.shape
+    parts = [x[:, 0::2, 0::2], x[:, 1::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 1::2]]
+    return concat(parts, axis=-1).reshape(b, (h // 2) * (w // 2), 4 * c)
+
+
+def check_tiles(reference, k, col_major, shape, dtype, src, seed):
+    """concat_tiles on a [B, h, w, c] grid equals `reference` byte for byte:
+    on an array of dtype `src`, which records no node, and on Tensors of
+    the grid as [B, h*w, c] and as [B, h, w, c], forward and gradient."""
+    b, h, w, c = shape
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(shape).astype(src)
+    mix = Tensor(rng.standard_normal((b, h * w // (k * k), k * k * c)))
+    with using_dtype(dtype):
+        ref_x = Tensor(x0, requires_grad=True)
+        want = reference(ref_x)
+        backward((want * mix).sum())
+        const = concat_tiles(x0, h, w, k, col_major)
+        assert not const._parents
+        assert (const.shape, const.data.tobytes()) == (want.shape, want.data.tobytes())
+        for x_shape in ((b, h * w, c), shape):
+            x = Tensor(x0.reshape(x_shape), requires_grad=True)
+            out = concat_tiles(x, h, w, k, col_major)
+            backward((out * mix).sum())
+            assert (out.shape, out.data.tobytes()) == (want.shape, want.data.tobytes())
+            assert x.grad.shape == x_shape and x.grad.tobytes() == ref_x.grad.tobytes()
+
+
+FLOATS = st.sampled_from(["float32", "float64"])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tiles=st.tuples(st.integers(1, 3), st.integers(1, 3)), k=st.integers(1, 4),
+       batch=st.integers(1, 3), dim=st.integers(1, 4), dtype=FLOATS, src=FLOATS,
+       seed=st.integers(0, 2**32 - 1))
+def test_concat_tiles_matches_stem_chain(tiles, k, batch, dim, dtype, src, seed):
+    """Row-major tiles of any size k, on square and non-square grids."""
+    check_tiles(lambda x: stem_by_reshapes(x, k), k, False,
+                (batch, k * tiles[0], k * tiles[1], dim), dtype, src, seed)
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(grid=st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda g: g[0] != g[1]),
-       batch=st.integers(1, 3), dim=st.integers(1, 5),
-       dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**32 - 1))
-def test_merge_matches_four_slice_reference(grid, batch, dim, dtype, seed):
-    """Byte for byte, forward and input gradient, on non-square grids."""
-    h, w = 2 * grid[0], 2 * grid[1]
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((batch, h * w, dim))
-    mix = rng.standard_normal((batch, h * w // 4, 4 * dim))
-    results = []
-    with using_dtype(dtype):
-        for merge in (lambda fm: merge_2x2_concat(fm).values, merge_by_slices):
-            x = Tensor(x0, requires_grad=True)
-            out = merge(FeatureMap(h, w, dim, x))
-            backward((out * Tensor(mix)).sum())
-            results.append((out.data.dtype, out.shape, out.data.tobytes(), x.grad.tobytes()))
-    assert results[0] == results[1]
+       batch=st.integers(1, 3), dim=st.integers(1, 5), dtype=FLOATS, src=FLOATS,
+       seed=st.integers(0, 2**32 - 1))
+def test_merge_matches_four_slice_reference(grid, batch, dim, dtype, src, seed):
+    """Column-major 2x2 tiles, the merge's order, on non-square grids."""
+    check_tiles(merge_by_slices, 2, True, (batch, 2 * grid[0], 2 * grid[1], dim),
+                dtype, src, seed)
+
+
+@pytest.mark.parametrize("col_major", [False, True])
+def test_concat_tiles_grad_check_and_shapes(col_major):
+    rng = np.random.default_rng(40)
+    mix = Tensor(rng.standard_normal((2, 2, 27)))
+    x = Tensor(rng.standard_normal((2, 18, 3)))
+    # x enters twice, so the backward both starts and adds to x's gradient
+    assert grad_check(lambda t: (concat_tiles(t, 6, 3, 3, col_major) * mix).sum()
+                      + (t * t).sum(), x) < 1e-4
+    with pytest.raises(ShapeError):
+        concat_tiles(x, 6, 3, 2, col_major)  # 3 columns do not split into 2s
+    with pytest.raises(ShapeError):
+        concat_tiles(x, 3, 3, 3, col_major)  # 18 tokens are not a 3x3 grid
 
 
 def test_gather_tokens_grad_check_and_shapes():
@@ -1246,3 +1297,32 @@ def test_forward_backward_populates_all_param_grads():
     for name, p in params.items():
         assert p.grad is not None, name
         assert np.isfinite(p.grad).all(), name
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_array_input_matches_tensor_input(training):
+    """The stem casts a float64 array in its one copy: the same bits as the
+    array cast by Tensor() first."""
+    cfg = preset("micro")
+    img = np.random.default_rng(41).random((3, 64, 64, 3))
+    with using_dtype("float32"), no_grad():
+        params = init_params(cfg, np.random.default_rng(42))
+        a, b = (forward(x, cfg, params, training=training, rng=np.random.default_rng(9))
+                for x in (img, Tensor(img)))
+    assert a.data.dtype == np.float32 and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("over", [dict(patch_size=2), dict(img_size=32, patch_size=8),
+                                  dict(in_channels=1)])
+def test_forward_backward_honour_patch_size_and_in_channels(over):
+    from swinqa.tensor import cross_entropy_soft
+    cfg = micro_cfg(depths=(1, 1), heads=(2, 2), **over)
+    params = init_params(cfg, np.random.default_rng(43))
+    img = np.random.default_rng(44).random((2, cfg.img_size, cfg.img_size, cfg.in_channels))
+    logits = forward(img, cfg, params, training=True)
+    backward(cross_entropy_soft(logits, Tensor(np.eye(2))))
+    assert logits.shape == (2, cfg.num_classes)
+    for name, shape in param_layout(cfg):
+        assert params[name].grad.shape == shape, name
+    with pytest.raises(ShapeError, match="in_channels"):
+        forward(np.zeros((cfg.img_size, cfg.img_size, cfg.in_channels + 1)), cfg, params)

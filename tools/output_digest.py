@@ -13,6 +13,10 @@ Cases, all from fixed seeds, with BLAS pinned to one thread:
 - a no-grad float64 forward of `tiny` at batch 1;
 - training-mode `micro` at 128x128 batch 4 with drop path 0 and 0.3:
   the logits and the gradient of every parameter, in layout order.
+Each case passes `forward` a Tensor of float64 pixels, except the two
+named "-array" (no-grad `micro` at 64x64 batch 64, training with drop path
+0.3), which pass the float64 array itself, as the eval and training loops
+pass `prepare_batch`'s output.
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -30,14 +34,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-EVAL_CASES = (  # (name, preset, img_size, window, batch, dtype)
-    ("micro-64-b64", "micro", 64, None, 64, "float32"),
-    ("micro-128-b16", "micro", 128, None, 16, "float32"),
-    ("micro-96-w6-b40", "micro", 96, 6, 40, "float32"),
-    ("tiny-b1-f32", "tiny", None, None, 1, "float32"),
-    ("tiny-b1-f64", "tiny", None, None, 1, "float64"),
+EVAL_CASES = (  # (name, preset, img_size, window, batch, dtype, as Tensor)
+    ("micro-64-b64", "micro", 64, None, 64, "float32", True),
+    ("micro-128-b16", "micro", 128, None, 16, "float32", True),
+    ("micro-96-w6-b40", "micro", 96, 6, 40, "float32", True),
+    ("tiny-b1-f32", "tiny", None, None, 1, "float32", True),
+    ("tiny-b1-f64", "tiny", None, None, 1, "float64", True),
+    ("micro-64-b64-array", "micro", 64, None, 64, "float32", False),
 )
-TRAIN_CASES = (("micro-128-b4-dp0", 0.0), ("micro-128-b4-dp0.3", 0.3))
+TRAIN_CASES = (  # (name, drop path, as Tensor)
+    ("micro-128-b4-dp0", 0.0, True),
+    ("micro-128-b4-dp0.3", 0.3, True),
+    ("micro-128-b4-dp0.3-array", 0.3, False),
+)
 
 
 def _images(cfg, batch: int, seed: int) -> np.ndarray:
@@ -45,19 +54,22 @@ def _images(cfg, batch: int, seed: int) -> np.ndarray:
     return rng.standard_normal((batch, cfg.img_size, cfg.img_size, 3))
 
 
-def eval_arrays(swin, tensor, name, model, img_size, window, batch, dtype) -> list:
+def eval_arrays(swin, tensor, name, model, img_size, window, batch, dtype,
+                as_tensor) -> list:
     cfg = swin.preset(model, img_size=img_size, window=window)
     with tensor.using_dtype(dtype), tensor.no_grad():
         params = swin.init_params(cfg, np.random.default_rng(0))
-        logits = swin.forward(tensor.Tensor(_images(cfg, batch, 1)), cfg, params)
+        x = _images(cfg, batch, 1)
+        logits = swin.forward(tensor.Tensor(x) if as_tensor else x, cfg, params)
     return [logits.data]
 
 
-def train_arrays(swin, tensor, drop_path: float) -> list:
+def train_arrays(swin, tensor, name, drop_path: float, as_tensor) -> list:
     cfg = dataclasses.replace(swin.preset("micro", img_size=128), drop_path_max=drop_path)
     with tensor.using_dtype("float32"):
         params = swin.init_params(cfg, np.random.default_rng(0))
-        x = tensor.Tensor(_images(cfg, 4, 2))
+        x = _images(cfg, 4, 2)
+        x = tensor.Tensor(x) if as_tensor else x
         logits = swin.forward(x, cfg, params, training=True, rng=np.random.default_rng(3))
         soft = np.eye(cfg.num_classes)[[0, 1, 1, 0]]
         tensor.backward(tensor.cross_entropy_soft(logits, tensor.Tensor(soft)))
@@ -84,7 +96,7 @@ def main(argv) -> int:
     from swinqa import swin, tensor
 
     cases = [(c[0], eval_arrays(swin, tensor, *c)) for c in EVAL_CASES]
-    cases += [(name, train_arrays(swin, tensor, dp)) for name, dp in TRAIN_CASES]
+    cases += [(c[0], train_arrays(swin, tensor, *c)) for c in TRAIN_CASES]
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()
