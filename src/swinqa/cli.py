@@ -21,7 +21,7 @@ import sys
 import typing
 
 from .augment import AugConfig
-from .data import SPLITS, SynthSpec, load_manifest, make_benchmark, split_counts
+from .data import SPLITS, SynthSpec, load_manifest, make_benchmark
 from .swin import count_flops, count_params, param_views, preset
 from .tensor import Tensor
 from .train import (
@@ -194,12 +194,11 @@ def _split_records(manifest_path: str):
 def cmd_synth(cfg: dict) -> int:
     spec = _synth_spec(cfg)
     s = cfg["synth"]
-    manifest = make_benchmark(spec, s["n_train"], s["n_val"], s["n_test"],
-                              os.path.join(cfg["out"], "dataset"),
+    sizes = (s["n_train"], s["n_val"], s["n_test"])
+    manifest = make_benchmark(spec, *sizes, os.path.join(cfg["out"], "dataset"),
                               workers=cfg["workers"])
-    counts = split_counts(load_manifest(manifest))
-    for split in SPLITS:
-        print(f"{split}: {counts[split]} images")
+    for split, n in zip(SPLITS, sizes):
+        print(f"{split}: {n} images")
     print(f"manifest: {manifest}")
     return 0
 

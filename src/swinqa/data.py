@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -64,14 +65,30 @@ class SynthSpec:
 
 
 def _soft_limit(img: np.ndarray) -> np.ndarray:
-    """Squash values into (0.02, 0.98) with a smooth knee instead of a hard
-    clip: strictly monotone, so out-of-range texture compresses rather than
-    saturating into constant plateaus."""
+    """Squash float64 `img` in place into (0.02, 0.98) with a smooth knee
+    instead of a hard clip, and return it: strictly monotone, so
+    out-of-range texture compresses rather than saturating into constant
+    plateaus. Values inside the knees pass through unchanged, so the tanh
+    runs only where a knee applies."""
     lo, hi, knee = 0.02, 0.98, 0.04
-    out = np.where(img > hi - knee,
-                   hi - knee + knee * np.tanh((img - (hi - knee)) / knee), img)
-    return np.where(out < lo + knee,
-                    lo + knee + knee * np.tanh((out - (lo + knee)) / knee), out)
+    top = img > hi - knee
+    if top.any():
+        img[top] = hi - knee + knee * np.tanh((img[top] - (hi - knee)) / knee)
+    low = img < lo + knee
+    if low.any():
+        img[low] = lo + knee + knee * np.tanh((img[low] - (lo + knee)) / knee)
+    return img
+
+
+@functools.lru_cache(maxsize=None)
+def _axes(size: int) -> tuple:
+    """Read-only row and column coordinates as float64, [size, 1] and
+    [1, size]: they broadcast to the full grid, and each pixel's arithmetic
+    on them is the same as on a full integer `np.mgrid`."""
+    yy = np.arange(size, dtype=np.float64).reshape(size, 1)
+    xx = np.arange(size, dtype=np.float64).reshape(1, size)
+    yy.flags.writeable = xx.flags.writeable = False
+    return yy, xx
 
 
 def _blob_background(size: int, blobs: int, sigma: float, rng) -> np.ndarray:
@@ -80,30 +97,36 @@ def _blob_background(size: int, blobs: int, sigma: float, rng) -> np.ndarray:
     Base level and noise amplitude are jittered per image so that global
     statistics (mean/std/extrema) vary more across backgrounds than any
     single pasted object shifts them."""
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _axes(size)
     img = np.full((size, size), rng.uniform(0.35, 0.55))
     for _ in range(blobs):
         cy, cx = rng.uniform(0, size, size=2)
         s = rng.uniform(size / 8, size / 3)
         amp = rng.uniform(-0.30, 0.30)
-        img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s))
+        # amp * exp(-d2 / (2 s^2)) in place; dividing by the negated
+        # denominator gives the same bits as negating d2 first
+        g = (yy - cy) ** 2 + (xx - cx) ** 2
+        g /= -(2 * s * s)
+        np.exp(g, out=g)
+        g *= amp
+        img += g
     img += rng.normal(0.0, sigma * rng.uniform(0.7, 1.6), size=(size, size))
     return _soft_limit(img)
 
 
 def _disk_mask(size: int, cy: float, cx: float, r: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _axes(size)
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
 
 
 def _square_mask(size: int, cy: float, cx: float, half: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _axes(size)
     return (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
 
 
 def _bar_mask(size: int, cy: float, cx: float, half_len: float, half_width: float,
               horizontal: bool) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _axes(size)
     dy, dx = np.abs(yy - cy), np.abs(xx - cx)
     if horizontal:
         return (dx <= half_len) & (dy <= half_width)
@@ -133,14 +156,14 @@ def _textured_paste(img: np.ndarray, mask: np.ndarray, contrast: float,
     return float(value), float(amp)
 
 
-def _paste(img: np.ndarray, mask: np.ndarray, contrast: float,
-           bg_lo: float, bg_hi: float) -> float:
-    """Recolor `mask` to a constant at `contrast` away from its local mean,
-    toward whichever side of the background range has room, never outside
-    the range itself. Range-limited values back off the rail by an amount
-    tied to the contrast draw so no two pastes land on the same constant.
-    Returns the pasted value."""
-    local = float(img[mask].mean()) if mask.any() else 0.5
+def _paste_value(pixels: np.ndarray, contrast: float,
+                 bg_lo: float, bg_hi: float) -> float:
+    """The constant at `contrast` away from the mean of `pixels`, toward
+    whichever side of the background range has room, never outside the
+    range itself. Range-limited values back off the rail by an amount tied
+    to the contrast draw so no two pastes land on the same constant."""
+    # the bits of pixels.mean(), without its Python-level overhead
+    local = float(pixels.sum()) / pixels.size if pixels.size else 0.5
     side = 1.0 if bg_hi - local > local - bg_lo else -1.0
     value = local + side * contrast
     lo, hi = min(bg_lo, local), max(bg_hi, local)
@@ -148,8 +171,32 @@ def _paste(img: np.ndarray, mask: np.ndarray, contrast: float,
         value = hi - 0.003 * contrast
     elif value < lo:
         value = lo + 0.003 * contrast
-    img[mask] = value
     return float(value)
+
+
+def _stroke_mask(ys: np.ndarray, xs: np.ndarray, rad: float, size: int) -> tuple:
+    """The pixels of a size x size grid within `rad` of any point
+    (ys[i], xs[i]), as (box, mask): `mask` covers the bounding box, and
+    `box` is its pair of slices into the grid. Each point's disk test runs
+    only on the pixels that can pass it, floor - ceil(rad) to floor +
+    ceil(rad) + 1 on each axis, with the float64 expression of a full-grid
+    test, so it marks the same pixels."""
+    c = math.ceil(rad)
+    off = np.arange(-c, c + 2)
+    py = np.floor(ys)[:, None] + off  # [points, candidates], whole numbers
+    px = np.floor(xs)[:, None] + off
+    hit = (((py - ys[:, None]) ** 2)[:, :, None]
+           + ((px - xs[:, None]) ** 2)[:, None, :] <= rad * rad)
+    y0, x0 = int(py.min()), int(px.min())
+    h, w = int(py.max()) + 1 - y0, int(px.max()) + 1 - x0
+    flat = (py - y0)[:, :, None] * w + (px - x0)[:, None, :]
+    mask = np.zeros(h * w, dtype=bool)
+    mask[flat[hit].astype(np.intp)] = True
+    # crop to the grid: candidates off its edge are never drawn
+    top, left = max(y0, 0), max(x0, 0)
+    bottom, right = min(y0 + h, size), min(x0 + w, size)
+    mask = mask.reshape(h, w)[top - y0:bottom - y0, left - x0:right - x0]
+    return (slice(top, bottom), slice(left, right)), mask
 
 
 def _add_clutter(img: np.ndarray, size: int, rng) -> None:
@@ -157,15 +204,20 @@ def _add_clutter(img: np.ndarray, size: int, rng) -> None:
     class: wavy 1-2 px polylines (rib/vessel analogs) and pixel speckles.
     Clutter carries faint per-pixel texture so no clutter region is ever
     exactly flat; locally constant regions stay specific to pasted
-    objects."""
+    objects. Every paste works on the window it changes."""
     bg_lo = float(img.min()) + 0.02
     bg_hi = float(img.max()) - 0.02
-    yy, xx = np.mgrid[0:size, 0:size]
 
-    def rough_paste(mask: np.ndarray, contrast: float) -> None:
-        _paste(img, mask, contrast, bg_lo, bg_hi)
-        img[mask] = _soft_limit(
-            img[mask] + rng.normal(0.0, 0.012, int(mask.sum())))
+    def rough_paste(win: np.ndarray, sel, contrast: float) -> None:
+        """Recolor `win[sel]` (all of `win` when `sel` is None) to a pasted
+        value plus faint noise, one draw per pixel in row-major order."""
+        pixels = win.ravel() if sel is None else win[sel]
+        value = _paste_value(pixels, contrast, bg_lo, bg_hi)
+        noisy = _soft_limit(value + rng.normal(0.0, 0.012, pixels.size))
+        if sel is None:
+            win[...] = noisy.reshape(win.shape)
+        else:
+            win[sel] = noisy
 
     for _ in range(int(rng.integers(2, 5))):
         steps = int(rng.integers(30, 70))
@@ -174,20 +226,21 @@ def _add_clutter(img: np.ndarray, size: int, rng) -> None:
         ang = rng.uniform(0, 2 * math.pi)
         wobble = rng.uniform(0.08, 0.25)
         rad = rng.uniform(0.6, 1.1)
-        mask = np.zeros_like(img, dtype=bool)
-        for _step in range(steps):
-            ang += rng.normal(0.0, wobble)
+        ys, xs = [], []
+        for turn in rng.normal(0.0, wobble, size=steps).tolist():
+            ang += turn
             y = min(max(y + math.sin(ang), 1.0), size - 2.0)
             x = min(max(x + math.cos(ang), 1.0), size - 2.0)
-            mask |= (yy - y) ** 2 + (xx - x) ** 2 <= rad * rad
-        rough_paste(mask, float(rng.uniform(0.42, 0.55)))
+            ys.append(y)
+            xs.append(x)
+        box, mask = _stroke_mask(np.array(ys), np.array(xs), rad, size)
+        rough_paste(img[box], mask, float(rng.uniform(0.42, 0.55)))
     n_speckles = int(rng.integers(10, 26))
-    sy = rng.integers(1, size - 1, size=n_speckles)
-    sx = rng.integers(1, size - 1, size=n_speckles)
+    sy = rng.integers(1, size - 1, size=n_speckles).tolist()
+    sx = rng.integers(1, size - 1, size=n_speckles).tolist()
     for y, x in zip(sy, sx):
-        mask = np.zeros_like(img, dtype=bool)
-        mask[y:y + int(rng.integers(1, 3)), x:x + int(rng.integers(1, 3))] = True
-        rough_paste(mask, float(rng.uniform(0.42, 0.55)))
+        h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        rough_paste(img[y:y + h, x:x + w], None, float(rng.uniform(0.42, 0.55)))
 
 
 def synth_foreign_object(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
@@ -228,7 +281,9 @@ def synth_foreign_object(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
                 extent = 0.7 * r * math.sqrt(2.0)
             else:
                 extent = math.hypot(1.6 * r, max(3.5, 0.45 * r))
-            margin = extent + 2
+            # a shape too large for a margin on both sides is centred; no
+            # smaller shape's draw changes
+            margin = min(extent + 2, spec.size / 2)
             cy = float(rng_obj.uniform(margin, spec.size - margin))
             cx = float(rng_obj.uniform(margin, spec.size - margin))
             if kind == "disk":
@@ -254,7 +309,7 @@ def synth_foreign_object(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
 
 def _ellipse_mask(size: int, cy: float, cx: float, ry: float, rx: float,
                   angle: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _axes(size)
     dy, dx = yy - cy, xx - cx
     u = dy * math.cos(angle) + dx * math.sin(angle)
     v = -dy * math.sin(angle) + dx * math.cos(angle)
@@ -413,13 +468,6 @@ def load_manifest(path: str) -> list:
     return records
 
 
-def split_counts(records) -> dict:
-    counts = {s: 0 for s in SPLITS}
-    for r in records:
-        counts[r.split] += 1
-    return counts
-
-
 # ------------------------------------------------------------ processing
 
 
@@ -446,7 +494,6 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
     for n in (n_train, n_val, n_test):
         if n < 2 or n % 2:
             raise ValueError("split sizes must be even and >= 2 (balanced classes)")
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     jobs = []
     for split_idx, (split, n) in enumerate(zip(SPLITS, (n_train, n_val, n_test))):
         for i in range(n):
@@ -466,6 +513,8 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
     else:
         built = [build(j) for j in jobs]
 
+    # only once every record is built, so a failed build leaves no tree
+    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -6,6 +6,8 @@ prepare_batch_three_planes, which composes the production augmentation ops
 and differs from the pipeline only in where grayscale becomes three planes.
 """
 
+import math
+
 import numpy as np
 
 
@@ -182,3 +184,81 @@ def prepare_batch_three_planes(images, labels, cfg, size, rng, num_classes=2):
         batch = augment.mix_batch(batch, cfg, rng)
     erased = np.stack([augment.random_erasing(im, cfg, rng) for im in batch.images])
     return augment.normalize(erased, cfg), batch.labels
+
+
+# ------------------------------------------------------- foreign_object generator
+#
+# The full-grid foreign_object background and clutter: every stroke step
+# tests its disk on every pixel, and every paste works on a full-size mask.
+# swinqa.data computes the same bits on the windows it changes.
+
+
+def soft_limit(img):
+    """Smooth-knee squash into (0.02, 0.98), both knees on every pixel."""
+    lo, hi, knee = 0.02, 0.98, 0.04
+    out = np.where(img > hi - knee,
+                   hi - knee + knee * np.tanh((img - (hi - knee)) / knee), img)
+    return np.where(out < lo + knee,
+                    lo + knee + knee * np.tanh((out - (lo + knee)) / knee), out)
+
+
+def blob_background(size, blobs, sigma, rng):
+    """Gaussian blobs and pixel noise on a full index grid."""
+    yy, xx = np.mgrid[0:size, 0:size]
+    img = np.full((size, size), rng.uniform(0.35, 0.55))
+    for _ in range(blobs):
+        cy, cx = rng.uniform(0, size, size=2)
+        s = rng.uniform(size / 8, size / 3)
+        amp = rng.uniform(-0.30, 0.30)
+        img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s))
+    img += rng.normal(0.0, sigma * rng.uniform(0.7, 1.6), size=(size, size))
+    return soft_limit(img)
+
+
+def paste(img, mask, contrast, bg_lo, bg_hi):
+    """Set `mask` to a constant at `contrast` from its mean, inside the
+    background range; returns the constant."""
+    local = float(img[mask].mean()) if mask.any() else 0.5
+    side = 1.0 if bg_hi - local > local - bg_lo else -1.0
+    value = local + side * contrast
+    lo, hi = min(bg_lo, local), max(bg_hi, local)
+    if value > hi:
+        value = hi - 0.003 * contrast
+    elif value < lo:
+        value = lo + 0.003 * contrast
+    img[mask] = value
+    return float(value)
+
+
+def add_clutter(img, size, rng):
+    """Wavy strokes and speckles, one scalar turn draw per stroke step and
+    one full-size mask per paste."""
+    bg_lo = float(img.min()) + 0.02
+    bg_hi = float(img.max()) - 0.02
+    yy, xx = np.mgrid[0:size, 0:size]
+
+    def rough_paste(mask, contrast):
+        paste(img, mask, contrast, bg_lo, bg_hi)
+        img[mask] = soft_limit(img[mask] + rng.normal(0.0, 0.012, int(mask.sum())))
+
+    for _ in range(int(rng.integers(2, 5))):
+        steps = int(rng.integers(30, 70))
+        y = rng.uniform(4, size - 4)
+        x = rng.uniform(4, size - 4)
+        ang = rng.uniform(0, 2 * math.pi)
+        wobble = rng.uniform(0.08, 0.25)
+        rad = rng.uniform(0.6, 1.1)
+        mask = np.zeros_like(img, dtype=bool)
+        for _step in range(steps):
+            ang += rng.normal(0.0, wobble)
+            y = min(max(y + math.sin(ang), 1.0), size - 2.0)
+            x = min(max(x + math.cos(ang), 1.0), size - 2.0)
+            mask |= (yy - y) ** 2 + (xx - x) ** 2 <= rad * rad
+        rough_paste(mask, float(rng.uniform(0.42, 0.55)))
+    n_speckles = int(rng.integers(10, 26))
+    sy = rng.integers(1, size - 1, size=n_speckles)
+    sx = rng.integers(1, size - 1, size=n_speckles)
+    for y, x in zip(sy, sx):
+        mask = np.zeros_like(img, dtype=bool)
+        mask[y:y + int(rng.integers(1, 3)), x:x + int(rng.integers(1, 3))] = True
+        rough_paste(mask, float(rng.uniform(0.42, 0.55)))

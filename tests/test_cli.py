@@ -216,6 +216,24 @@ def test_synth_writes_dataset_and_prints_counts(tmp_path, capsys):
     assert os.path.exists(manifest)
 
 
+def test_synth_prints_counts_without_reading_the_dataset_back(tmp_path, capsys, monkeypatch):
+    def unread(path):
+        raise AssertionError("synth read its dataset back")
+
+    monkeypatch.setattr(cli, "load_manifest", unread)
+    manifest = synth_small(tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["train: 8 images", "val: 4 images", "test: 4 images",
+                     f"manifest: {manifest}"]
+
+
+def test_synth_at_minimum_size_builds(tmp_path, capsys):
+    cfg = write_config(tmp_path, synth={"size": 32, "n_train": 400, "n_val": 2,
+                                        "n_test": 2})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "train: 400 images" in capsys.readouterr().out
+
+
 def test_synth_deterministic_across_workers(tmp_path):
     m1 = synth_small(tmp_path, sub="a")
     m2 = synth_small(tmp_path, sub="b", workers=3)

@@ -1,12 +1,19 @@
 """Synthetic generators against their recorded geometry, image IO round
 trips, manifest validation, and the equalization remap."""
 
+import collections
+import hashlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swinqa import data
 from swinqa.data import (
     SampleRecord,
     SynthSpec,
@@ -14,7 +21,6 @@ from swinqa.data import (
     load_manifest,
     make_benchmark,
     read_image,
-    split_counts,
     synth_foreign_object,
     synth_lvot,
     threshold_baseline,
@@ -191,7 +197,7 @@ def test_make_benchmark_and_load_manifest(tmp_path):
     spec = fo_spec(seed=21)
     manifest = make_benchmark(spec, 8, 4, 2, str(tmp_path / "ds"))
     records = load_manifest(manifest)
-    counts = split_counts(records)
+    counts = collections.Counter(r.split for r in records)
     assert counts == {"train": 8, "val": 4, "test": 2}
     for split, n in counts.items():
         labels = [r.label for r in records if r.split == split]
@@ -209,6 +215,72 @@ def test_make_benchmark_deterministic_and_worker_invariant(tmp_path):
         b1 = (tmp_path / "a" / "images" / rel).read_bytes()
         b2 = (tmp_path / "b" / "images" / rel).read_bytes()
         assert b1 == b2, rel
+
+
+def dataset_sha256(manifest: str) -> str:
+    """sha256 over a manifest's bytes and then its images' bytes, in
+    manifest order."""
+    h = hashlib.sha256()
+    with open(manifest, "rb") as f:
+        rows = f.read()
+    h.update(rows)
+    for line in rows.decode().splitlines()[1:]:
+        with open(os.path.join(os.path.dirname(manifest), line.split(",")[0]), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, want", [
+    (SynthSpec(task="foreign_object", size=64, seed=5),
+     "ed235aaf61d6bd8b16e579c9fa85c43f08228a828b0bf001d9aa8873e5ad15e5"),
+    (SynthSpec(task="lvot", size=224, seed=1),
+     "4b4354ff81898f56316d58bb7c4c1df5ffee176a9d1f576de92e13672eb01940"),
+    (SynthSpec(task="lvot", size=224, seed=1, blur=True),
+     "d7d86be687b6dcfac982e9463081c876e1874dde6f46333bc0025b87cc3c7ce4"),
+], ids=["foreign_object-64", "lvot-224", "lvot-224-blur"])
+def test_make_benchmark_bytes_are_pinned(tmp_path, spec, want):
+    """A dataset's bytes are a pure function of the spec, the split and the
+    index; these digests were taken from the full-grid generator."""
+    n = (8, 4, 4) if spec.task == "foreign_object" else (4, 2, 2)
+    assert dataset_sha256(make_benchmark(spec, *n, str(tmp_path / "ds"))) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(32, 256), seed=st.integers(0, 2**32 - 1),
+       blobs=st.integers(0, 8))
+def test_foreign_object_matches_full_grid_reference(size, seed, blobs):
+    """The windowed background and clutter give the bytes of the full-grid
+    reference, on both classes: every pixel and every metadata value."""
+    spec = SynthSpec(size=size, background_blobs=blobs, seed=seed)
+    for positive in (True, False):
+        got = synth_foreign_object(spec, positive, np.random.default_rng(seed))
+        with mock.patch.object(data, "_blob_background", oracles.blob_background), \
+                mock.patch.object(data, "_add_clutter", oracles.add_clutter):
+            want = synth_foreign_object(spec, positive, np.random.default_rng(seed))
+        assert got.image.tobytes() == want.image.tobytes()
+        assert repr(got.meta) == repr(want.meta)
+
+
+def test_foreign_object_builds_every_positive_at_minimum_size():
+    """At size 32 a bar's margin can exceed half the image. Such a shape is
+    centred, and it still lies wholly inside the image."""
+    spec = SynthSpec(size=32, seed=0)
+    for i in range(400):
+        rec = synth_foreign_object(spec, True, np.random.default_rng([spec.seed, 0, i]))
+        assert rec.meta["objects"]
+        for o in rec.meta["objects"]:
+            assert o["pixels"] > 0
+            assert o["extent"] <= min(o["cy"], o["cx"], 32 - o["cy"], 32 - o["cx"])
+
+
+def test_make_benchmark_failure_leaves_no_tree(tmp_path):
+    def fail(*args):
+        raise ValueError("generator failed")
+
+    out = tmp_path / "ds"
+    with mock.patch.object(data, "generate_record", fail), pytest.raises(ValueError):
+        make_benchmark(fo_spec(), 2, 2, 2, str(out))
+    assert not out.exists()
 
 
 def test_make_benchmark_rejects_odd_or_tiny_splits(tmp_path):

@@ -16,7 +16,9 @@ Cases, all from fixed seeds, with BLAS pinned to one thread:
 Each case passes `forward` a Tensor of float64 pixels, except the two
 named "-array" (no-grad `micro` at 64x64 batch 64, training with drop path
 0.3), which pass the float64 array itself, as the eval and training loops
-pass `prepare_batch`'s output.
+pass `prepare_batch`'s output. One more case, "dataset-c8", covers the data
+generator: the manifest and image bytes of the criterion-8 set
+(foreign_object 64x64, seed 1234, 400/100/100).
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -27,6 +29,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -76,6 +79,18 @@ def train_arrays(swin, tensor, name, drop_path: float, as_tensor) -> list:
     return [logits.data] + [params[k].grad for k, _ in swin.param_layout(cfg)]
 
 
+def dataset_arrays(data) -> list:
+    """The criterion-8 dataset as byte arrays: the manifest, then each
+    image file in manifest order."""
+    spec = data.SynthSpec(task="foreign_object", size=64, seed=1234)
+    with tempfile.TemporaryDirectory() as d:
+        manifest = Path(data.make_benchmark(spec, 400, 100, 100, d))
+        rows = manifest.read_bytes()
+        files = [manifest] + [Path(d) / line.split(",")[0]
+                              for line in rows.decode().splitlines()[1:]]
+        return [np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files]
+
+
 def digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -93,10 +108,11 @@ def main(argv) -> int:
         print(f"error: no swinqa package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    from swinqa import swin, tensor
+    from swinqa import data, swin, tensor
 
     cases = [(c[0], eval_arrays(swin, tensor, *c)) for c in EVAL_CASES]
     cases += [(c[0], train_arrays(swin, tensor, *c)) for c in TRAIN_CASES]
+    cases.append(("dataset-c8", dataset_arrays(data)))
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()
