@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .data import histogram_equalize
+from .data import histogram_equalize, pixels01
+from .tensor import default_dtype
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
@@ -82,8 +83,9 @@ class LabeledBatch:
 
 
 def _channels01(image: np.ndarray) -> np.ndarray:
-    """Float [h, w, 1] (grayscale) or [h, w, 3] (color) view of an image."""
-    img = np.asarray(image, dtype=np.float64)
+    """Float [h, w, 1] (grayscale) or [h, w, 3] (color) view of an image;
+    uint8 pixels are read through pixels01."""
+    img = np.asarray(pixels01(image), dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
     if img.ndim != 3 or img.shape[-1] not in (1, 3):
@@ -404,7 +406,11 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     images stays one plane unless erasing draws on one of them; a batch
     with any color image is color throughout. mode "eval": resize and
     normalize only; rng must be None (no stochastic ops on that path).
-    Returns (images [B, size, size, 3] normalized, soft labels [B, K]).
+    Images are floats in [0, 1] or uint8 pixels (read as value / 255).
+    Returns (images [B, size, size, 3] normalized, soft labels [B, K]):
+    float64 in train mode; in eval mode the engine dtype, each image
+    normalized in float64 and cast on store, the bits the model's stem
+    would cast it to.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -412,9 +418,10 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     if mode == "eval":
         if rng is not None:
             raise ValueError("eval pipeline is deterministic; rng must be None")
-        out = np.empty((len(images), size, size, 3))
+        out = np.empty((len(images), size, size, 3), dtype=default_dtype())
+        wide = np.empty((size, size, 3))  # one image, normalized in float64
         for im, o in zip(images, out):
-            resize_normalize(im, size, size, cfg, out=o)
+            o[...] = resize_normalize(im, size, size, cfg, out=wide)
         return out, soft
     if rng is None:
         raise ValueError("train pipeline needs an rng")

@@ -27,7 +27,7 @@ class SampleRecord:
     source: str
     label: int
     split: str = "train"
-    image: np.ndarray | None = None
+    image: np.ndarray | None = None  # floats in [0, 1], or a file's uint8 pixels
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -379,9 +379,18 @@ def generate_record(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
 # ------------------------------------------------------------------- IO
 
 
-def write_pgm(path: str, image: np.ndarray) -> None:
-    """Binary 8-bit PGM (P5), maxval 255, from a [h, w] image in [0, 1]."""
+def pixels01(image: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1] of an image: uint8 pixels map to value / 255 in
+    float64, the bits read_image returns; any other image passes through
+    as it is."""
     img = np.asarray(image)
+    return img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img
+
+
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """Binary 8-bit PGM (P5), maxval 255, from a [h, w] image in [0, 1] or
+    of uint8 pixels."""
+    img = pixels01(image)
     if img.ndim != 2:
         raise ValueError(f"PGM wants [h, w] grayscale, got {img.shape}")
     data = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
@@ -391,8 +400,9 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:
-    """Binary 8-bit PPM (P6), maxval 255, from a [h, w, 3] image in [0, 1]."""
-    img = np.asarray(image)
+    """Binary 8-bit PPM (P6), maxval 255, from a [h, w, 3] image in [0, 1]
+    or of uint8 pixels."""
+    img = pixels01(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"PPM wants [h, w, 3] color, got {img.shape}")
     data = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
@@ -418,29 +428,46 @@ def _read_header_tokens(f, count: int) -> list:
         while ch and not ch.isspace():
             tok += ch
             ch = f.read(1)
+        if not tok.isdigit():
+            raise ValueError(f"header field {tok!r} is not a non-negative integer")
         tokens.append(int(tok))
     return tokens
 
 
-def read_image(path: str) -> np.ndarray:
-    """Read binary PGM/PPM into floats in [0, 1] ([h, w] or [h, w, 3])."""
+def _read_pixels(path: str) -> np.ndarray:
+    """The 8-bit pixels of a binary PGM/PPM file, [h, w] or [h, w, 3]
+    uint8. A malformed header, or one declaring more pixels than the file
+    holds, raises ValueError naming `path` before any pixel is read."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic not in (b"P5", b"P6"):
-            raise ValueError(f"{path}: unsupported magic {magic!r}")
-        w, h, maxval = _read_header_tokens(f, 3)
-        if maxval != 255:
-            raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
-        channels = 1 if magic == b"P5" else 3
-        raw = f.read(w * h * channels)
-        if len(raw) != w * h * channels:
-            raise ValueError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+        try:
+            magic = f.read(2)
+            if magic not in (b"P5", b"P6"):
+                raise ValueError(f"unsupported magic {magic!r}")
+            w, h, maxval = _read_header_tokens(f, 3)
+            if w < 1 or h < 1:
+                raise ValueError(f"image size {w}x{h} is empty")
+            if maxval != 255:
+                raise ValueError(f"only maxval 255 supported, got {maxval}")
+            channels = 1 if magic == b"P5" else 3
+            size = w * h * channels
+            if size > os.fstat(f.fileno()).st_size - f.tell():
+                raise ValueError(f"truncated pixel data: header declares {w}x{h}x"
+                                 f"{channels} bytes")
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        raw = f.read(size)
+    arr = np.frombuffer(raw, dtype=np.uint8)
     return arr.reshape(h, w) if channels == 1 else arr.reshape(h, w, 3)
 
 
+def read_image(path: str) -> np.ndarray:
+    """Read binary PGM/PPM into floats in [0, 1] ([h, w] or [h, w, 3])."""
+    return pixels01(_read_pixels(path))
+
+
 def load_manifest(path: str) -> list:
-    """CSV manifest (header: path,label,split) with images loaded eagerly.
+    """CSV manifest (header: path,label,split) with images loaded eagerly,
+    each kept as the uint8 pixels of its file (pixels01 gives the floats).
     Paths are relative to the manifest's directory. Errors name the
     offending data row (header is row 1)."""
     base = os.path.dirname(os.path.abspath(path))
@@ -464,7 +491,7 @@ def load_manifest(path: str) -> list:
             if not os.path.exists(img_path):
                 raise ValueError(f"manifest row {i}: missing file {rel}")
             records.append(SampleRecord(source=rel, label=int(label_s), split=split,
-                                        image=read_image(img_path)))
+                                        image=_read_pixels(img_path)))
     return records
 
 
@@ -472,9 +499,10 @@ def load_manifest(path: str) -> list:
 
 
 def histogram_equalize(image: np.ndarray) -> np.ndarray:
-    """CDF remap over 256 bins; preserves pixel ordering. A constant image
-    maps to 1.0 (top of its own degenerate CDF)."""
-    img = np.asarray(image, dtype=np.float64)
+    """CDF remap over 256 bins of an image in [0, 1] or of uint8 pixels;
+    preserves pixel ordering. A constant image maps to 1.0 (top of its own
+    degenerate CDF)."""
+    img = np.asarray(pixels01(image), dtype=np.float64)
     levels = np.clip(np.round(img * 255), 0, 255).astype(int)
     hist = np.bincount(levels.reshape(-1), minlength=256)
     cdf = np.cumsum(hist) / levels.size
@@ -544,7 +572,7 @@ def threshold_baseline(train_records, eval_records) -> float:
     }
 
     def table(records, fn):
-        vals = np.array([fn(r.image) for r in records])
+        vals = np.array([fn(pixels01(r.image)) for r in records])
         labels = np.array([r.label for r in records])
         return vals, labels
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .augment import AugConfig, prepare_batch
-from .swin import SwinConfig, count_params, forward, init_params, param_views, preset
+from .swin import SwinConfig, count_params, forward, init_params, param_layout, param_views, preset
 from .tensor import (
     ShapeError,
     Tensor,
@@ -270,6 +270,7 @@ def evaluate(cfg: SwinConfig, params: dict, records, aug_cfg: AugConfig | None =
             logits = forward(x, cfg, params)
             loss = cross_entropy_soft(logits, Tensor(soft))
             probs = softmax(logits).data
+        del x, soft, logits  # before the next chunk's batch is built
         loss_sum += float(loss.data) * len(chunk)
         for k in range(len(chunk)):
             scores.append(float(probs[k, 1]))
@@ -304,11 +305,13 @@ class Checkpoint:
     best_epoch: int | None = None
 
 
-def _directory(cfg: SwinConfig, group: np.ndarray, prefixes) -> dict:
+def _directory(cfg: SwinConfig, prefixes) -> dict:
     """Tensor directory of a payload of equal param_layout-ordered groups,
     one per name prefix. Offsets within a group are read off param_views of
-    `group` (one flat float32 group), so the layout becomes offsets in one
-    place only."""
+    one flat float32 group, so the layout becomes offsets in one place
+    only; that group is never written, so its pages never become
+    resident."""
+    group = np.empty(count_params(cfg), dtype="<f4")
     start = group.ctypes.data
     return {prefix + name: {"shape": list(view.shape),
                             "offset": g * group.nbytes + view.ctypes.data - start}
@@ -321,7 +324,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     UTF-8 JSON header, then the payload: the weights, optimizer m and v, and
     best-snapshot groups, each one block of little-endian float32 in
     param_layout order, at the offsets in the header's tensor directory.
-    The file is written under a temporary name and renamed over `path`."""
+    Each weight is written from its own tensor, with no staging copy of
+    the group. The file is written under a temporary name and renamed over
+    `path`."""
     cfg = ckpt.config
     if (ckpt.best_params is None) != (ckpt.best_epoch is None):
         raise ValueError("best_params and best_epoch must be set together")
@@ -330,18 +335,18 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         groups.update({"optim.m.": ckpt.optim.m, "optim.v.": ckpt.optim.v})
     if ckpt.best_params is not None:
         groups["best."] = ckpt.best_params
-    weights = np.empty(count_params(cfg), dtype="<f4")
-    for name, view in param_views(cfg, weights).items():
+    layout = param_layout(cfg)
+    for name, shape in layout:
         if name not in ckpt.params:
             raise ValueError(f"checkpoint is missing parameter {name}")
-        if ckpt.params[name].shape != view.shape:
-            raise ValueError(f"{name}: expected shape {view.shape}, "
+        if ckpt.params[name].shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, "
                              f"got {ckpt.params[name].shape}")
-        view[...] = ckpt.params[name].data
+    group_shape = (count_params(cfg),)
     for prefix, flat in groups.items():
-        if np.shape(flat) != weights.shape:
+        if np.shape(flat) != group_shape:
             raise ValueError(f"{prefix}* group has shape {np.shape(flat)}, "
-                             f"expected {weights.shape}")
+                             f"expected {group_shape}")
     header = {"format_version": FORMAT_VERSION,
               "config": asdict(cfg),
               "epoch": ckpt.epoch,
@@ -351,7 +356,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
               "optim": None if ckpt.optim is None else
                   {"t": ckpt.optim.t, "beta1": ckpt.optim.beta1,
                    "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps},
-              "tensors": _directory(cfg, weights, ["", *groups])}
+              "tensors": _directory(cfg, ["", *groups])}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     # write beside the target, then rename over it: an interrupted or failed
     # write leaves the previous checkpoint whole
@@ -360,7 +365,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         with open(tmp, "wb") as f:
             f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
             f.write(blob)
-            f.write(weights)
+            for name, _ in layout:
+                f.write(np.ascontiguousarray(ckpt.params[name].data, dtype="<f4"))
             for flat in groups.values():
                 f.write(np.ascontiguousarray(flat, dtype="<f4"))
         os.replace(tmp, path)
@@ -409,7 +415,7 @@ def _read_checkpoint(f) -> Checkpoint:
     if header["best_epoch"] is not None:
         prefixes.append("best.")
     payload = np.empty((len(prefixes), count_params(cfg)), dtype="<f4")
-    if header["tensors"] != _directory(cfg, payload[0], prefixes):
+    if header["tensors"] != _directory(cfg, prefixes):
         raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
     if f.readinto(payload) < payload.nbytes:
         raise ValueError(f"truncated payload: expected {payload.nbytes} bytes")
@@ -524,6 +530,11 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             else:
                 x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
                                         num_classes=scfg.num_classes)
+            # one graph at a time: the previous step's goes before this
+            # forward builds the next. Dropped right after its backward, it
+            # would leave the top of the heap free, glibc would trim it, and
+            # every step would fault its pages back in
+            logits = loss = None
             logits = forward(x, scfg, params, training=True,
                              rng=_rng_for(cfg.seed, 3, epoch, b))
             loss = cross_entropy_soft(logits, Tensor(soft))
@@ -550,6 +561,7 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                 acc_count = 0
                 step_in_epoch += 1
                 last_lr = lr
+        del x, soft, logits, loss  # the last step's graph and batch
         report = evaluate(scfg, params, val_records, cfg.aug,
                           batch_size=cfg.eval_batch_size)
         row = {"epoch": epoch + 1, "train_loss": loss_sum / n,

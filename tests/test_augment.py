@@ -3,6 +3,8 @@ the train/eval pipeline contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import affine_sample_taps, prepare_batch_three_planes
 from swinqa import augment
@@ -30,6 +32,8 @@ from swinqa.augment import (
     to_rgb01,
     translate,
 )
+from swinqa.data import _read_pixels, read_image, write_pgm, write_ppm
+from swinqa.tensor import using_dtype
 
 
 class ScriptedRng:
@@ -410,14 +414,13 @@ def test_rand_augment_and_color_jitter_reject_two_planes():
 
 
 def test_prepare_batch_eval_matches_resize_normalize():
+    # eval batches come in the engine dtype: each image is normalized in
+    # float64 and cast on store, so a float32 batch is the float64 formula
+    # cast, and under the float64 engine the batch is the formula exactly
     rng = np.random.default_rng(10)
     images = [rng.random((20, 20)) for _ in range(3)]
     labels = np.array([0, 1, 1])
     cfg = AugConfig()
-    out, soft = prepare_batch(images, labels, cfg, "eval", 16)
-    want = np.stack([resize_normalize(im, 16, 16, cfg) for im in images])
-    assert np.array_equal(out, want)
-    assert np.array_equal(soft, np.eye(2)[[0, 1, 1]])
     # bit for bit the RGB-broadcast formula: gray at the target size, gray
     # needing a resize, RGB at and off the size, and a batch mixing them
     mean, std = np.asarray(cfg.normalize_mean), np.asarray(cfg.normalize_std)
@@ -425,12 +428,49 @@ def test_prepare_batch_eval_matches_resize_normalize():
              "gray resized": [rng.random((20, 12)), rng.random((9, 30, 1))],
              "rgb": [rng.random((16, 16, 3)), rng.random((24, 18, 3))]}
     cases["mixed"] = [im for ims in cases.values() for im in ims]
-    for name, images in cases.items():
-        out, _ = prepare_batch(images, [0] * len(images), cfg, "eval", 16)
-        want = np.stack([(bilinear_resize(to_rgb01(im), 16, 16) - mean) / std
-                         for im in images])
-        assert out.shape == (len(images), 16, 16, 3), name
-        assert np.array_equal(out, want), name
+    for dtype in (np.float32, np.float64):
+        with using_dtype(dtype):
+            out, soft = prepare_batch(images, labels, cfg, "eval", 16)
+            batches = {name: prepare_batch(ims, [0] * len(ims), cfg, "eval", 16)[0]
+                       for name, ims in cases.items()}
+        want = np.stack([resize_normalize(im, 16, 16, cfg) for im in images])
+        assert out.dtype == dtype
+        assert np.array_equal(out, want.astype(dtype))
+        assert np.array_equal(soft, np.eye(2)[[0, 1, 1]])
+        for name, images_ in cases.items():
+            want = np.stack([(bilinear_resize(to_rgb01(im), 16, 16) - mean) / std
+                             for im in images_])
+            assert batches[name].shape == (len(images_), 16, 16, 3), name
+            assert batches[name].dtype == dtype, name
+            assert np.array_equal(batches[name], want.astype(dtype)), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rgb=st.booleans(), resized=st.booleans(),
+       count=st.integers(1, 4))
+def test_prepare_batch_same_bytes_for_uint8_pixels_and_read_floats(
+        tmp_path_factory, seed, rgb, resized, count):
+    # records from a manifest keep their file's 8-bit pixels; both modes
+    # must give the batch that read_image's floats give, byte for byte
+    gen = np.random.default_rng(seed)
+    path = str(tmp_path_factory.mktemp("pix") / ("x.ppm" if rgb else "x.pgm"))
+    pixels, floats = [], []
+    for _ in range(count):
+        shape = (int(gen.integers(9, 24)), int(gen.integers(9, 24))) if resized else (16, 16)
+        img = gen.integers(0, 256, size=shape + ((3,) if rgb else ()), dtype=np.uint8)
+        (write_ppm if rgb else write_pgm)(path, img / 255.0)
+        pixels.append(img)
+        floats.append(read_image(path))
+        assert np.array_equal(_read_pixels(path), img)
+    labels = [i % 2 for i in range(count)]
+    cfg = AugConfig(erase_prob=0.5)
+    for mode, key in (("eval", None), ("train", [seed, 3])):
+        got = [prepare_batch(ims, labels, cfg, mode, 16,
+                             rng=None if key is None else np.random.default_rng(key))
+               for ims in (pixels, floats)]
+        assert got[0][0].dtype == got[1][0].dtype
+        assert got[0][0].tobytes() == got[1][0].tobytes(), mode
+        assert got[0][1].tobytes() == got[1][1].tobytes(), mode
 
 
 def test_prepare_batch_eval_rejects_rng_train_requires_it():

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swinqa import data
+from swinqa import cli, data
 from swinqa.data import (
     SampleRecord,
     SynthSpec,
     histogram_equalize,
     load_manifest,
     make_benchmark,
+    pixels01,
     read_image,
     synth_foreign_object,
     synth_lvot,
@@ -190,6 +191,37 @@ def test_read_image_handles_comments_and_errors(tmp_path):
         read_image(str(trunc))
 
 
+@pytest.mark.parametrize("blob, why", [
+    (b"P5\n100000 100000\n255\n" + bytes(6), "truncated pixel data"),
+    (b"P6\n3 2\n255\n" + bytes(6), "truncated pixel data"),
+    (b"P5\nabc 2\n255\n" + bytes(6), "not a non-negative integer"),
+    (b"P5\n-3 2\n255\n" + bytes(6), "not a non-negative integer"),
+    (b"P5\n0 0\n255\n", "empty"),
+    (b"P5\n3 0\n255\n" + bytes(6), "empty"),
+    (b"P5\n3 2\n65535\n" + bytes(12), "maxval"),
+    (b"P5\n3 2", "truncated image header"),
+    (b"P4\n3 2\n255\n" + bytes(6), "magic"),
+])
+def test_read_image_header_errors_name_the_file(tmp_path, blob, why):
+    # the header never sizes an allocation beyond what the file holds, and
+    # every header fault is a ValueError that names the file
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=why) as err:
+        read_image(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_train_on_oversized_image_header_exits_1(tmp_path, capsys):
+    (tmp_path / "big.pgm").write_bytes(b"P5\n100000 100000\n255\n" + bytes(16))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\nbig.pgm,0,train\n")
+    assert cli.main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "big.pgm: truncated pixel data" in err, err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------- manifests
 
 
@@ -203,6 +235,38 @@ def test_make_benchmark_and_load_manifest(tmp_path):
         labels = [r.label for r in records if r.split == split]
         assert sum(labels) == n // 2  # exact class balance
     assert all(r.image.shape == (64, 64) for r in records)
+
+
+def test_load_manifest_keeps_the_files_uint8_pixels(tmp_path):
+    rng = np.random.default_rng(3)
+    gray = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+    rgb = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
+    write_pgm(str(tmp_path / "g.pgm"), gray / 255.0)
+    write_ppm(str(tmp_path / "c.ppm"), rgb / 255.0)
+    (tmp_path / "m.csv").write_text("path,label,split\ng.pgm,0,train\nc.ppm,1,val\n")
+    records = load_manifest(str(tmp_path / "m.csv"))
+    for rec, want, name in zip(records, (gray, rgb), ("g.pgm", "c.ppm")):
+        assert rec.image.dtype == np.uint8
+        assert np.array_equal(rec.image, want)
+        header_end = (tmp_path / name).read_bytes().index(b"255\n") + 4
+        assert rec.image.tobytes() == (tmp_path / name).read_bytes()[header_end:]
+        # pixels01 gives read_image's floats, bit for bit
+        assert pixels01(rec.image).tobytes() == read_image(str(tmp_path / name)).tobytes()
+    float_image = rng.random((3, 3))
+    assert pixels01(float_image) is float_image
+
+
+def test_image_functions_take_uint8_pixels_as_their_floats(tmp_path):
+    # a record from a manifest holds uint8 pixels; every public function
+    # that takes an image reads them as pixels01 does
+    levels = np.arange(256, dtype=np.uint8)
+    gray = np.concatenate([levels, levels[::-1]]).reshape(16, 32)
+    rgb = np.stack([gray, gray[::-1], gray.T.reshape(16, 32)], axis=-1)
+    for writer, img in ((write_pgm, gray), (write_ppm, rgb)):
+        path = str(tmp_path / "x")
+        writer(path, img)
+        assert np.array_equal(data._read_pixels(path), img)
+    assert np.array_equal(histogram_equalize(gray), histogram_equalize(pixels01(gray)))
 
 
 def test_make_benchmark_deterministic_and_worker_invariant(tmp_path):

@@ -2,10 +2,13 @@
 oracle, checkpoint byte round trips, and training-loop semantics
 (determinism, accumulation equivalence, resume, NaN abort)."""
 
+import gc
+import hashlib
 import json
 import math
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -279,6 +282,17 @@ def test_checkpoint_byte_round_trip(tmp_path):
         save_checkpoint(a, ckpt)
         save_checkpoint(b, load_checkpoint(a))
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("with_optim, with_best, sha256", [
+    (True, True, "cc122d33ab8a86890791016ce769d165b054c0a11a11b0e988c77eafe5f916b6"),
+    (False, False, "7cb7a501341ba195514285e7b0a4229d2746692674a25b69e77313e01f4e9730"),
+    (True, False, "8dcccbb9bfb7a76de586a71e5f333b5e54bef983e8792a53842f63bbe8d8e740"),
+])
+def test_checkpoint_bytes_pinned(tmp_path, with_optim, with_best, sha256):
+    path = tmp_path / "c.swq"
+    save_checkpoint(str(path), micro_checkpoint(with_optim, with_best))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_checkpoint_preserves_values(tmp_path):
@@ -591,6 +605,57 @@ def test_train_carries_on_when_only_the_gradient_norm_overflows(monkeypatch):
         ckpt = _train_with_gradient_edit(monkeypatch, huge)
     assert ckpt.epoch == 1 and ckpt.optim.t == 1
     assert all(np.isfinite(p.data).all() for p in ckpt.params.values())
+
+
+def test_train_drops_each_step_graph_before_the_next_forward(monkeypatch):
+    # Tensor has __slots__ and no weakref slot, so the weakrefs are to the
+    # arrays: the logits' .data (alive while its graph is) and each batch
+    # (a training batch also lives as long as its graph). With gc off, only
+    # reference counts can free them.
+    logits, batches, seen, evaluating = [], [], [], []
+    forward, prepare, evaluate = (train_module.forward, train_module.prepare_batch,
+                                  train_module.evaluate)
+
+    def alive(refs):
+        return sum(r() is not None for r in refs)
+
+    def tracked_forward(*args, **kwargs):
+        # only the batch this forward reads
+        seen.append(("forward", alive(logits), alive(batches) - 1))
+        out = forward(*args, **kwargs)
+        logits.append(weakref.ref(out.data))
+        return out
+
+    def tracked_prepare(*args, **kwargs):
+        if evaluating:
+            seen.append(("eval prepare_batch", alive(logits), alive(batches)))
+        x, soft = prepare(*args, **kwargs)
+        batches.append(weakref.ref(x))
+        return x, soft
+
+    def tracked_evaluate(*args, **kwargs):
+        seen.append(("evaluate", alive(logits), alive(batches)))
+        evaluating.append(True)
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            evaluating.clear()
+
+    monkeypatch.setattr(train_module, "forward", tracked_forward)
+    monkeypatch.setattr(train_module, "prepare_batch", tracked_prepare)
+    monkeypatch.setattr(train_module, "evaluate", tracked_evaluate)
+    gc.disable()
+    try:
+        train(micro_train_cfg(epochs=2, augment=True, eval_batch_size=2),
+              records(8), records(6))
+    finally:
+        gc.enable()
+    # per epoch: 2 training steps, then evaluate over 3 chunks of 2
+    names = [name for name, *_ in seen]
+    assert names.count("forward") == 2 * (2 + 3)
+    assert names.count("eval prepare_batch") == 2 * 3
+    assert names.count("evaluate") == 2
+    assert seen == [(name, 0, 0) for name in names]
 
 
 def test_train_rejects_empty_splits():

@@ -16,9 +16,12 @@ Cases, all from fixed seeds, with BLAS pinned to one thread:
 Each case passes `forward` a Tensor of float64 pixels, except the two
 named "-array" (no-grad `micro` at 64x64 batch 64, training with drop path
 0.3), which pass the float64 array itself, as the eval and training loops
-pass `prepare_batch`'s output. One more case, "dataset-c8", covers the data
-generator: the manifest and image bytes of the criterion-8 set
-(foreign_object 64x64, seed 1234, 400/100/100).
+pass `prepare_batch`'s output. Two more cases cover the data path of the
+criterion-8 set (foreign_object 64x64, seed 1234, 400/100/100):
+"dataset-c8", the manifest and image bytes the generator writes, and
+"batches-c8", the set read back through `load_manifest`, then its first
+eval batch of 64 validation images as float32 and the first train-mode
+batch of the criterion-8 recipe (seed 7) with its soft labels.
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -79,16 +82,38 @@ def train_arrays(swin, tensor, name, drop_path: float, as_tensor) -> list:
     return [logits.data] + [params[k].grad for k, _ in swin.param_layout(cfg)]
 
 
-def dataset_arrays(data) -> list:
-    """The criterion-8 dataset as byte arrays: the manifest, then each
-    image file in manifest order."""
+def criterion8_dataset(data, out_dir: str) -> Path:
+    """Write the criterion-8 dataset under out_dir; return its manifest."""
     spec = data.SynthSpec(task="foreign_object", size=64, seed=1234)
-    with tempfile.TemporaryDirectory() as d:
-        manifest = Path(data.make_benchmark(spec, 400, 100, 100, d))
-        rows = manifest.read_bytes()
-        files = [manifest] + [Path(d) / line.split(",")[0]
-                              for line in rows.decode().splitlines()[1:]]
-        return [np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files]
+    return Path(data.make_benchmark(spec, 400, 100, 100, out_dir))
+
+
+def dataset_arrays(manifest: Path) -> list:
+    """A dataset as byte arrays: the manifest, then each image file in
+    manifest order."""
+    rows = manifest.read_bytes()
+    files = [manifest] + [manifest.parent / line.split(",")[0]
+                          for line in rows.decode().splitlines()[1:]]
+    return [np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files]
+
+
+def batch_arrays(data, augment, manifest: Path) -> list:
+    """The first batches a criterion-8 run builds: the first eval batch of
+    64 validation images, as float32, then the first train-mode batch and
+    its soft labels, drawn with the keys train() uses at seed 7 for epoch
+    0, batch 0."""
+    records = data.load_manifest(str(manifest))
+    train = [r for r in records if r.split == "train"]
+    val = [r for r in records if r.split == "val"][:64]
+    aug = augment.AugConfig(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05,
+                            cutmix_alpha=0.05, erase_prob=0.0, jitter_strength=0.05)
+    x_eval, _ = augment.prepare_batch([r.image for r in val], [r.label for r in val],
+                                      aug, "eval", 64)
+    idx = np.random.default_rng([7, 1, 0]).permutation(len(train))[:4]
+    x, soft = augment.prepare_batch([train[i].image for i in idx],
+                                    [train[i].label for i in idx], aug, "train", 64,
+                                    rng=np.random.default_rng([7, 2, 0, 0]))
+    return [x_eval.astype(np.float32), x, soft]
 
 
 def digest(arrays):
@@ -108,11 +133,14 @@ def main(argv) -> int:
         print(f"error: no swinqa package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    from swinqa import data, swin, tensor
+    from swinqa import augment, data, swin, tensor
 
     cases = [(c[0], eval_arrays(swin, tensor, *c)) for c in EVAL_CASES]
     cases += [(c[0], train_arrays(swin, tensor, *c)) for c in TRAIN_CASES]
-    cases.append(("dataset-c8", dataset_arrays(data)))
+    with tempfile.TemporaryDirectory() as d:
+        manifest = criterion8_dataset(data, d)
+        cases.append(("dataset-c8", dataset_arrays(manifest)))
+        cases.append(("batches-c8", batch_arrays(data, augment, manifest)))
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()
