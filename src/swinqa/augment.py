@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .data import histogram_equalize, pixels01
+from .data import convolve_nearest, histogram_equalize, pixels01
 from .tensor import default_dtype
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -305,8 +304,7 @@ def adjust_saturation(img: np.ndarray, factor: float) -> np.ndarray:
 
 
 def adjust_sharpness(img: np.ndarray, factor: float) -> np.ndarray:
-    smooth = np.stack([ndimage.convolve(img[:, :, c], _SMOOTH_KERNEL, mode="nearest")
-                       for c in range(img.shape[2])], axis=-1)
+    smooth = convolve_nearest(img, _SMOOTH_KERNEL)
     return np.clip(smooth + (img - smooth) * factor, 0.0, 1.0)
 
 

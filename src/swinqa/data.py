@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 SPLITS = ("train", "val", "test")
 
@@ -316,6 +315,29 @@ def _ellipse_mask(size: int, cy: float, cx: float, ry: float, rx: float,
     return (u / ry) ** 2 + (v / rx) ** 2 <= 1.0
 
 
+def convolve_nearest(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Convolution of a float image over its first two axes with a 2-D
+    kernel of odd sides, the edge pixels repeated past the border.
+
+    The bits of scipy.ndimage.convolve(mode="nearest") on each plane: the
+    output starts at 0.0, and the flipped kernel's taps with |w| above
+    float64 eps are multiplied in and added one at a time, in row-major
+    order. The result has the image's dtype; the sums are float64.
+    """
+    kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"kernel sides must be odd, got {kernel.shape}")
+    h, w = img.shape[:2]
+    pad = ((kh // 2, kh // 2), (kw // 2, kw // 2)) + ((0, 0),) * (img.ndim - 2)
+    padded = np.pad(img.astype(np.float64, copy=False), pad, mode="edge")
+    out = np.zeros(padded[:h, :w].shape)
+    eps = np.finfo(np.float64).eps
+    for (i, j), weight in np.ndenumerate(np.asarray(kernel, dtype=np.float64)[::-1, ::-1]):
+        if abs(weight) > eps:
+            out += weight * padded[i:i + h, j:j + w]
+    return out.astype(img.dtype, copy=False)
+
+
 def synth_lvot(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
     """Dark field with four bright elliptical chambers; positives add a
     fifth smaller ellipse near the center. A mild random contrast reduction
@@ -363,7 +385,7 @@ def synth_lvot(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
         else:
             np.fill_diagonal(k, 1.0)
         kernel = k / k.sum()
-        img = ndimage.convolve(img, kernel, mode="nearest")
+        img = convolve_nearest(img, kernel)
     return SampleRecord(
         source="synth:lvot", label=int(positive), image=img,
         meta={"chambers": chambers, "lvot": lvot,

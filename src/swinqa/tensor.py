@@ -10,10 +10,10 @@ as a global engine setting: float32 (training default) and float64
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
@@ -477,15 +477,33 @@ def _gelu_f32(x: np.ndarray, out: np.ndarray | None = None,
     return out.reshape(x.shape)
 
 
+def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function of each element of a float64 array, from the C
+    library's erf (math.erf), written into `out` (new when None; x itself
+    works; C-contiguous). It maps _GELU_BLOCK elements at a time, so the
+    Python floats in flight stay few. The float64 engine's GELU uses it;
+    float32 never does."""
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    for start in range(0, src.size, _GELU_BLOCK):
+        block = src[start:start + _GELU_BLOCK].tolist()
+        dst[start:start + len(block)] = np.fromiter(map(math.erf, block), np.float64,
+                                                    len(block))
+    return out
+
+
 def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None,
              phi: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x), written into `out` (new when None; x itself works).
     Phi(x), which the backward needs, is written into `phi` when given.
     Both must be C-contiguous and shaped like x.
 
-    float64 takes erf from scipy. float32 writes the exact erf-form Phi as
-    (1 + tanh(x h(x^2))) / 2, with h the 7-coefficient fit _PHI_TANH,
-    evaluated in place over blocks of _GELU_BLOCK elements. This is not
+    float64 takes erf from the C library (see erf). float32 writes the
+    exact erf-form Phi as (1 + tanh(x h(x^2))) / 2, with h the
+    7-coefficient fit _PHI_TANH, evaluated in place over blocks of
+    _GELU_BLOCK elements. This is not
     the tanh approximation of GELU, which is 1e-3 off: Phi is within
     2.5e-7 of the exact value, and exactly 0 or 1 for |x| >= 4 sqrt(2).
     """

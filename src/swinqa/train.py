@@ -530,11 +530,6 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             else:
                 x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
                                         num_classes=scfg.num_classes)
-            # one graph at a time: the previous step's goes before this
-            # forward builds the next. Dropped right after its backward, it
-            # would leave the top of the heap free, glibc would trim it, and
-            # every step would fault its pages back in
-            logits = loss = None
             logits = forward(x, scfg, params, training=True,
                              rng=_rng_for(cfg.seed, 3, epoch, b))
             loss = cross_entropy_soft(logits, Tensor(soft))
@@ -545,6 +540,11 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                 raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
                                  f"step {step}, lr {lr:.6g}")
             backward(loss)  # adds into the flat grad buffer
+            # one graph at a time: drop this step's as soon as its backward
+            # has run. The package's heap policy (swinqa.set_heap_policy)
+            # keeps glibc from trimming the freed pages, so the next step
+            # reuses them without faulting them back in
+            logits = loss = None
             acc_count += 1
             loss_sum += loss_val * len(idx)
             if acc_count == cfg.grad_accum_steps or b == batches_per_epoch - 1:
@@ -561,7 +561,7 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                 acc_count = 0
                 step_in_epoch += 1
                 last_lr = lr
-        del x, soft, logits, loss  # the last step's graph and batch
+        del x, soft  # the last step's batch
         report = evaluate(scfg, params, val_records, cfg.aug,
                           batch_size=cfg.eval_batch_size)
         row = {"epoch": epoch + 1, "train_loss": loss_sum / n,

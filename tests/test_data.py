@@ -140,6 +140,41 @@ def test_lvot_blur_flag_is_exactly_one_convolution():
         assert plain.meta["blur_kernel"] is None
 
 
+# RandAugment's sharpness kernel and the two lvot motion-blur kernels
+CONVOLVE_KERNELS = (np.array([[1.0, 1, 1], [1, 5, 1], [1, 1, 1]]) / 13.0,
+                    np.array([[0.0, 0, 0], [1, 1, 1], [0, 0, 0]]) / 3.0,
+                    np.eye(3) / 3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), planes=st.sampled_from([0, 1, 3]),
+       dtype=st.sampled_from([np.float64, np.float32]), which=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_convolve_nearest_is_scipy_byte_for_byte(h, w, planes, dtype, which, seed):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(seed)
+    if which < len(CONVOLVE_KERNELS):
+        kernel = CONVOLVE_KERNELS[which]
+    else:  # random taps, some zero and some below float64 eps, which scipy skips
+        kernel = rng.standard_normal((3, 3))
+        kernel[rng.random((3, 3)) < 0.3] = 0.0
+        kernel[rng.random((3, 3)) < 0.1] = 1e-17
+    img = rng.random((h, w, planes) if planes else (h, w)).astype(dtype)
+    got = data.convolve_nearest(img, kernel)
+    if planes:
+        want = np.stack([ndimage.convolve(img[:, :, c], kernel, mode="nearest")
+                         for c in range(planes)], axis=-1)
+    else:
+        want = ndimage.convolve(img, kernel, mode="nearest")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_convolve_nearest_rejects_even_kernels():
+    with pytest.raises(ValueError, match="odd"):
+        data.convolve_nearest(np.zeros((4, 4)), np.ones((2, 3)))
+
+
 def test_synth_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(task="mystery")

@@ -344,6 +344,38 @@ def test_gelu_float32_phi_error_bound():
     assert y[0] == 0.0 and y[1] == 10.0
 
 
+ERF_GRID = np.concatenate([np.linspace(-7.0, 7.0, 140_001),
+                           np.logspace(-300.0, 1.0, 3_001)])
+
+
+def test_erf_is_odd_with_exact_limits():
+    y = T.erf(ERF_GRID)
+    assert y.dtype == np.float64 and y.shape == ERF_GRID.shape
+    assert np.array_equal(T.erf(-ERF_GRID), -y)
+    assert np.all(np.abs(y) <= 1.0) and np.all(np.diff(y[:140_001]) >= 0.0)
+    special = T.erf(np.array([[np.inf, -np.inf], [np.nan, 0.0]]))
+    assert special[0, 0] == 1.0 and special[0, 1] == -1.0
+    assert np.isnan(special[1, 0]) and special[1, 1] == 0.0
+    out = ERF_GRID.copy()
+    assert T.erf(out, out=out) is out and np.array_equal(out, y)
+
+
+def test_erf_within_3_ulp_of_scipy():
+    # scipy's erf is itself up to 3 ulp from the correctly rounded value on
+    # this grid, and the C library's within 1 (the next test)
+    special = pytest.importorskip("scipy.special")
+    want = special.erf(ERF_GRID)
+    assert np.all(np.abs(T.erf(ERF_GRID) - want) <= 3 * np.spacing(np.abs(want)))
+
+
+def test_erf_within_1_ulp_of_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    x = ERF_GRID[::71]
+    with mpmath.workprec(200):
+        want = np.array([float(mpmath.erf(v)) for v in x.tolist()])
+    assert np.all(np.abs(T.erf(x) - want) <= np.spacing(np.abs(want)))
+
+
 @pytest.mark.parametrize("magnitude", [1e3, 1e4, 1e20, float(np.finfo(np.float32).max)])
 def test_gelu_float32_huge_inputs_are_exact_without_warnings(magnitude):
     x = np.array([magnitude, -magnitude], dtype=np.float32)

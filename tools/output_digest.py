@@ -21,7 +21,10 @@ criterion-8 set (foreign_object 64x64, seed 1234, 400/100/100):
 "dataset-c8", the manifest and image bytes the generator writes, and
 "batches-c8", the set read back through `load_manifest`, then its first
 eval batch of 64 validation images as float32 and the first train-mode
-batch of the criterion-8 recipe (seed 7) with its soft labels.
+batch of the criterion-8 recipe (seed 7) with its soft labels. The case
+"convolve" covers both convolution call sites: 16 `lvot` records at 64x64
+with the motion blur on, and `adjust_sharpness` at factors 0.1 and 1.9
+over the first 64 criterion-8 validation images as RGB.
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -97,12 +100,11 @@ def dataset_arrays(manifest: Path) -> list:
     return [np.frombuffer(f.read_bytes(), dtype=np.uint8) for f in files]
 
 
-def batch_arrays(data, augment, manifest: Path) -> list:
-    """The first batches a criterion-8 run builds: the first eval batch of
-    64 validation images, as float32, then the first train-mode batch and
-    its soft labels, drawn with the keys train() uses at seed 7 for epoch
-    0, batch 0."""
-    records = data.load_manifest(str(manifest))
+def batch_arrays(augment, records: list) -> list:
+    """The first batches a criterion-8 run builds from its records: the
+    first eval batch of 64 validation images, as float32, then the first
+    train-mode batch and its soft labels, drawn with the keys train() uses
+    at seed 7 for epoch 0, batch 0."""
     train = [r for r in records if r.split == "train"]
     val = [r for r in records if r.split == "val"][:64]
     aug = augment.AugConfig(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05,
@@ -114,6 +116,16 @@ def batch_arrays(data, augment, manifest: Path) -> list:
                                     [train[i].label for i in idx], aug, "train", 64,
                                     rng=np.random.default_rng([7, 2, 0, 0]))
     return [x_eval.astype(np.float32), x, soft]
+
+
+def convolve_arrays(data, augment, records: list) -> list:
+    """The images of both convolution call sites: blurred `lvot` records,
+    both classes, then the sharpness op on criterion-8 validation images."""
+    spec = data.SynthSpec(task="lvot", size=64, seed=5, blur=True)
+    lvot = [data.synth_lvot(spec, i % 2 == 1, np.random.default_rng([5, i])).image
+            for i in range(16)]
+    val = [augment.to_rgb01(r.image) for r in records if r.split == "val"][:64]
+    return lvot + [augment.adjust_sharpness(img, f) for f in (0.1, 1.9) for img in val]
 
 
 def digest(arrays):
@@ -140,7 +152,9 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as d:
         manifest = criterion8_dataset(data, d)
         cases.append(("dataset-c8", dataset_arrays(manifest)))
-        cases.append(("batches-c8", batch_arrays(data, augment, manifest)))
+        records = data.load_manifest(str(manifest))
+    cases.append(("batches-c8", batch_arrays(augment, records)))
+    cases.append(("convolve", convolve_arrays(data, augment, records)))
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()

@@ -8,11 +8,16 @@ their total, then the autodiff nodes that one training-mode forward of
 `micro` at batch 4 records: the nodes reachable from the loss through
 `_parents` (the loss itself counted apart), how many of them each Swin
 block and each patch merging adds, and the rest, which the stem and the
-head add. Two trees are compared by running the script on each.
+head add. Last, the import footprint: the peak RSS of a fresh interpreter
+that runs `import swinqa.cli` with BLAS pinned to one thread, against one
+that imports numpy alone, and the third-party top-level packages that the
+swinqa import loads. Two trees are compared by running the script on each.
 """
 from __future__ import annotations
 
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +68,35 @@ def graph_counts(swin, tensor) -> tuple[int, dict]:
                             for name, pairs in calls.items()}
 
 
+# run in a fresh interpreter: peak RSS in MB after `import <module>`, and
+# the site-packages top-level packages that import added to sys.modules.
+# The peak is VmHWM where /proc has it: ru_maxrss carries over the peak of
+# the process that started the interpreter
+FOOTPRINT = """
+import json, resource, sys, sysconfig
+before = set(sys.modules)
+import {module}
+site = tuple({{sysconfig.get_paths()[k] for k in ("purelib", "platlib")}})
+added = {{sys.modules[m] for m in set(sys.modules) - before}}
+tops = {{m.__name__.split(".")[0] for m in added
+        if (getattr(m, "__file__", None) or "").startswith(site)}}
+try:
+    with open("/proc/self/status") as f:
+        peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([peak / 1024, sorted(tops - {{"swinqa"}})]))
+"""
+
+
+def import_footprint(src: Path, module: str) -> tuple[float, list]:
+    """(peak RSS in MB, third-party packages) of a fresh `import module`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT.format(module=module)],
+                          env=env, capture_output=True, text=True, check=True)
+    return tuple(json.loads(done.stdout))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/src_stats.py <tree>", file=sys.stderr)
@@ -87,6 +121,10 @@ def main(argv) -> int:
     print(f"nodes per block: {' '.join(map(str, per_block))}")
     print(f"nodes per merge: {' '.join(map(str, per_merge))}")
     print(f"stem and head: {nodes - 1 - sum(per_block) - sum(per_merge)} nodes")
+    base, _ = import_footprint(src, "numpy")
+    peak, tops = import_footprint(src, "swinqa.cli")
+    print(f"import swinqa.cli: peak RSS {peak:.1f} MB (numpy alone {base:.1f} MB), "
+          f"third-party packages: {' '.join(tops) or 'none'}")
     return 0
 
 
