@@ -408,7 +408,9 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
     Returns (images [B, size, size, 3] normalized, soft labels [B, K]):
     float64 in train mode; in eval mode the engine dtype, each image
     normalized in float64 and cast on store, the bits the model's stem
-    would cast it to.
+    would cast it to. An eval batch of gray uint8 images at the size is
+    gathered from a table of those values for the 256 levels, with the
+    same bits.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -417,6 +419,16 @@ def prepare_batch(images, labels, cfg: AugConfig, mode: str, size: int,
         if rng is not None:
             raise ValueError("eval pipeline is deterministic; rng must be None")
         out = np.empty((len(images), size, size, 3), dtype=default_dtype())
+        if all(isinstance(im, np.ndarray) and im.dtype == np.uint8
+               and im.shape == (size, size) for im in images):
+            # gray 8-bit pixels at the size: a pixel's three values depend
+            # on its level alone, so the per-image path's float64 ops on
+            # the 256 levels, cast on store, give every bit by a gather
+            levels = normalize(pixels01(np.arange(256, dtype=np.uint8))[:, None], cfg)
+            levels = levels.astype(out.dtype)
+            for im, o in zip(images, out):
+                np.take(levels, im, axis=0, out=o, mode="clip")
+            return out, soft
         wide = np.empty((size, size, 3))  # one image, normalized in float64
         for im, o in zip(images, out):
             o[...] = resize_normalize(im, size, size, cfg, out=wide)

@@ -298,7 +298,9 @@ def cmd_bench(cfg: dict) -> int:
 # each command's function, help line and own flags, as (config key, argparse
 # keywords); a command's flags override its config section of the same name
 COMMANDS = {
-    "synth": (cmd_synth, "generate a synthetic benchmark dataset", ()),
+    "synth": (cmd_synth, "generate a synthetic benchmark dataset in OUT/dataset; "
+                         "an earlier one there is replaced as a whole, once the "
+                         "new one is complete", ()),
     "train": (cmd_train, "train a model from a dataset manifest",
               (("manifest", dict(metavar="PATH", help="dataset manifest CSV")),
                ("epochs", dict(type=int, help="override epoch count")))),
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "image-quality classification")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run config")
         for key, kwargs in COMMON_FLAGS + flags:
             p.add_argument(f"--{key}", **kwargs)

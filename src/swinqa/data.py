@@ -9,11 +9,14 @@ geometry in the sample metadata so tests can check pixels against it.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
+import errno
 import functools
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,35 +116,46 @@ def _blob_background(size: int, blobs: int, sigma: float, rng) -> np.ndarray:
     return _soft_limit(img)
 
 
-def _disk_mask(size: int, cy: float, cx: float, r: float) -> np.ndarray:
+def _window(size: int, cy: float, cx: float, hy: float, hx: float) -> tuple:
+    """The part of a size x size grid that a shape centred at (cy, cx),
+    reaching hy rows and hx columns from it, can cover, with a pixel to
+    spare on each side for rounding: (box, yy, xx), `box` its pair of
+    slices into the grid and yy/xx its slices of `_axes`. A mask test on
+    the window marks the pixels the same test marks on the full grid."""
     yy, xx = _axes(size)
+    top, bottom = max(math.floor(cy - hy) - 1, 0), min(math.ceil(cy + hy) + 2, size)
+    left, right = max(math.floor(cx - hx) - 1, 0), min(math.ceil(cx + hx) + 2, size)
+    return (slice(top, bottom), slice(left, right)), yy[top:bottom], xx[:, left:right]
+
+
+def _disk_mask(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float, r: float) -> np.ndarray:
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
 
 
-def _square_mask(size: int, cy: float, cx: float, half: float) -> np.ndarray:
-    yy, xx = _axes(size)
+def _square_mask(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float,
+                 half: float) -> np.ndarray:
     return (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
 
 
-def _bar_mask(size: int, cy: float, cx: float, half_len: float, half_width: float,
-              horizontal: bool) -> np.ndarray:
-    yy, xx = _axes(size)
+def _bar_mask(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float, half_len: float,
+              half_width: float, horizontal: bool) -> np.ndarray:
     dy, dx = np.abs(yy - cy), np.abs(xx - cx)
     if horizontal:
         return (dx <= half_len) & (dy <= half_width)
     return (dy <= half_len) & (dx <= half_width)
 
 
-def _textured_paste(img: np.ndarray, mask: np.ndarray, contrast: float,
+def _textured_paste(win: np.ndarray, mask: np.ndarray, parity: int, contrast: float,
                     bg_lo: float, bg_hi: float) -> tuple:
-    """Recolor `mask` to a constant offset from its local mean, overlaid
-    with a +-amp single-pixel checkerboard (an engraved-surface texture).
-    The base value keeps `amp` of headroom inside the background range, so
-    pixel extrema stay uninformative while the checker gives the object a
-    crisp signature at the highest spatial frequency — one no smooth blob,
-    noise field, or thin clutter line produces coherently. Returns
-    (base value, amp)."""
-    local = float(img[mask].mean()) if mask.any() else 0.5
+    """Recolor `mask` of the window `win` to a constant offset from its
+    local mean, overlaid with a +-amp single-pixel checkerboard (an
+    engraved-surface texture) whose phase is the parity of the window's
+    top-left grid coordinates' sum, `parity`. The base value keeps `amp`
+    of headroom inside the background range, so pixel extrema stay
+    uninformative while the checker gives the object a crisp signature at
+    the highest spatial frequency — one no smooth blob, noise field, or
+    thin clutter line produces coherently. Returns (base value, amp)."""
+    local = float(win[mask].mean()) if mask.any() else 0.5
     side = 1.0 if bg_hi - local > local - bg_lo else -1.0
     amp = 0.18
     lo_b, hi_b = bg_lo + amp + 0.01, bg_hi - amp - 0.01
@@ -151,7 +165,7 @@ def _textured_paste(img: np.ndarray, mask: np.ndarray, contrast: float,
         value = 0.5 * (bg_lo + bg_hi)
         amp = max(0.0, 0.5 * (bg_hi - bg_lo) - 0.01)
     yy, xx = np.nonzero(mask)
-    img[yy, xx] = value + amp * (((yy + xx) % 2) * 2.0 - 1.0)
+    win[yy, xx] = value + amp * (((yy + xx + parity) % 2) * 2.0 - 1.0)
     return float(value), float(amp)
 
 
@@ -242,6 +256,61 @@ def _add_clutter(img: np.ndarray, size: int, rng) -> None:
         rough_paste(img[y:y + h, x:x + w], None, float(rng.uniform(0.42, 0.55)))
 
 
+def _add_objects(img: np.ndarray, spec: SynthSpec, rng) -> tuple:
+    """Paste 1..spec.object_count[1] solid compact shapes (disks, squares,
+    bars) with an engraved checker finish into `img`, each tested and
+    pasted on the window it can cover. Returns (the objects' metadata, the
+    pixel count of their union)."""
+    size = spec.size
+    lo, hi = spec.object_count
+    count = int(rng.integers(lo, hi + 1))
+    r_lo, r_hi = spec.object_radius
+    # solid cores need a few pixels of girth; cap total support when
+    # several objects land so the class signal stays local
+    r_lo = max(5, r_lo)
+    r_hi = max(r_lo, r_hi - (count - 1))
+    # objects stay inside the image's own dynamic range so extrema
+    # carry no label information
+    bg_lo = float(img.min()) + 0.02
+    bg_hi = float(img.max()) - 0.02
+    support = np.zeros((size, size), dtype=bool)
+    objects = []
+    for _ in range(count):
+        r = float(rng.integers(r_lo, r_hi + 1))
+        kind = ("disk", "square", "bar")[int(rng.integers(0, 3))]
+        horizontal = bool(rng.integers(0, 2))
+        if kind == "disk":
+            extent = r
+        elif kind == "square":
+            extent = 0.7 * r * math.sqrt(2.0)
+        else:
+            extent = math.hypot(1.6 * r, max(3.5, 0.45 * r))
+        # a shape too large for a margin on both sides is centred; no
+        # smaller shape's draw changes
+        margin = min(extent + 2, size / 2)
+        cy = float(rng.uniform(margin, size - margin))
+        cx = float(rng.uniform(margin, size - margin))
+        if kind == "bar":
+            length, width = 1.6 * r, max(3.5, 0.45 * r)
+            hy, hx = (width, length) if horizontal else (length, width)
+        else:
+            hy = hx = r if kind == "disk" else 0.7 * r
+        box, yy, xx = _window(size, cy, cx, hy, hx)
+        if kind == "disk":
+            mask = _disk_mask(yy, xx, cy, cx, r)
+        elif kind == "square":
+            mask = _square_mask(yy, xx, cy, cx, 0.7 * r)
+        else:
+            mask = _bar_mask(yy, xx, cy, cx, length, width, horizontal)
+        value, amp = _textured_paste(img[box], mask, box[0].start + box[1].start,
+                                     float(rng.uniform(0.42, 0.55)), bg_lo, bg_hi)
+        support[box] |= mask
+        objects.append({"kind": kind, "cy": cy, "cx": cx, "r": r,
+                        "extent": float(extent), "value": value,
+                        "amp": amp, "pixels": int(mask.sum())})
+    return objects, int(support.sum())
+
+
 def synth_foreign_object(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
     """Blob-textured grayscale field with thin anatomy-like clutter in every
     image; positives additionally get 1..spec.object_count[1] solid compact
@@ -256,54 +325,12 @@ def synth_foreign_object(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
     rng_bg, rng_obj = rng.spawn(2)
     img = _blob_background(spec.size, spec.background_blobs, spec.noise_sigma, rng_bg)
     _add_clutter(img, spec.size, rng_bg)
-    objects = []
-    support = np.zeros((spec.size, spec.size), dtype=bool)
-    if positive:
-        lo, hi = spec.object_count
-        count = int(rng_obj.integers(lo, hi + 1))
-        r_lo, r_hi = spec.object_radius
-        # solid cores need a few pixels of girth; cap total support when
-        # several objects land so the class signal stays local
-        r_lo = max(5, r_lo)
-        r_hi = max(r_lo, r_hi - (count - 1))
-        # objects stay inside the image's own dynamic range so extrema
-        # carry no label information
-        bg_lo = float(img.min()) + 0.02
-        bg_hi = float(img.max()) - 0.02
-        for _ in range(count):
-            r = float(rng_obj.integers(r_lo, r_hi + 1))
-            kind = ("disk", "square", "bar")[int(rng_obj.integers(0, 3))]
-            horizontal = bool(rng_obj.integers(0, 2))
-            if kind == "disk":
-                extent = r
-            elif kind == "square":
-                extent = 0.7 * r * math.sqrt(2.0)
-            else:
-                extent = math.hypot(1.6 * r, max(3.5, 0.45 * r))
-            # a shape too large for a margin on both sides is centred; no
-            # smaller shape's draw changes
-            margin = min(extent + 2, spec.size / 2)
-            cy = float(rng_obj.uniform(margin, spec.size - margin))
-            cx = float(rng_obj.uniform(margin, spec.size - margin))
-            if kind == "disk":
-                mask = _disk_mask(spec.size, cy, cx, r)
-            elif kind == "square":
-                mask = _square_mask(spec.size, cy, cx, 0.7 * r)
-            else:
-                mask = _bar_mask(spec.size, cy, cx, 1.6 * r,
-                                 max(3.5, 0.45 * r), horizontal)
-            value, amp = _textured_paste(img, mask,
-                                         float(rng_obj.uniform(0.42, 0.55)),
-                                         bg_lo, bg_hi)
-            support |= mask
-            objects.append({"kind": kind, "cy": cy, "cx": cx, "r": r,
-                            "extent": float(extent), "value": value,
-                            "amp": amp, "pixels": int(mask.sum())})
+    objects, support_pixels = _add_objects(img, spec, rng_obj) if positive else ([], 0)
     return SampleRecord(
         source="synth:foreign_object", label=int(positive), image=img,
         meta={"objects": objects,
               "object_pixels": sum(o["pixels"] for o in objects),
-              "support_pixels": int(support.sum())})
+              "support_pixels": support_pixels})
 
 
 def _ellipse_mask(size: int, cy: float, cx: float, ry: float, rx: float,
@@ -409,28 +436,39 @@ def pixels01(image: np.ndarray) -> np.ndarray:
     return img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img
 
 
+def quantize(image: np.ndarray) -> np.ndarray:
+    """The 8-bit pixels an image file holds for an image: uint8 pixels as
+    they are, floats in [0, 1] as clip(round(x * 255))."""
+    img = np.asarray(image)
+    if img.dtype == np.uint8:
+        return img
+    q = img * 255
+    np.round(q, out=q)
+    return np.clip(q, 0, 255, out=q).astype(np.uint8)
+
+
+def _write_pnm(path: str, magic: str, data: np.ndarray) -> None:
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
+        f.write(data.tobytes())
+
+
 def write_pgm(path: str, image: np.ndarray) -> None:
     """Binary 8-bit PGM (P5), maxval 255, from a [h, w] image in [0, 1] or
     of uint8 pixels."""
-    img = pixels01(image)
-    if img.ndim != 2:
-        raise ValueError(f"PGM wants [h, w] grayscale, got {img.shape}")
-    data = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(data.tobytes())
+    data = quantize(image)
+    if data.ndim != 2:
+        raise ValueError(f"PGM wants [h, w] grayscale, got {data.shape}")
+    _write_pnm(path, "P5", data)
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:
     """Binary 8-bit PPM (P6), maxval 255, from a [h, w, 3] image in [0, 1]
     or of uint8 pixels."""
-    img = pixels01(image)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"PPM wants [h, w, 3] color, got {img.shape}")
-    data = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(data.tobytes())
+    data = quantize(image)
+    if data.ndim != 3 or data.shape[2] != 3:
+        raise ValueError(f"PPM wants [h, w, 3] color, got {data.shape}")
+    _write_pnm(path, "P6", data)
 
 
 def _read_header_tokens(f, count: int) -> list:
@@ -524,8 +562,7 @@ def histogram_equalize(image: np.ndarray) -> np.ndarray:
     """CDF remap over 256 bins of an image in [0, 1] or of uint8 pixels;
     preserves pixel ordering. A constant image maps to 1.0 (top of its own
     degenerate CDF)."""
-    img = np.asarray(pixels01(image), dtype=np.float64)
-    levels = np.clip(np.round(img * 255), 0, 255).astype(int)
+    levels = quantize(np.asarray(pixels01(image), dtype=np.float64))
     hist = np.bincount(levels.reshape(-1), minlength=256)
     cdf = np.cumsum(hist) / levels.size
     return cdf[levels]
@@ -534,46 +571,104 @@ def histogram_equalize(image: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- benchmark
 
 
+# The 8-bit pixels make_benchmark holds before it writes them as a run of
+# files. Creating one file between every two records cost 0.1-0.4 s more
+# at criterion 8's spec (1.0-1.4 s) than creating the files in runs
+_WRITE_BATCH_BYTES = 1 << 18
+
+
 def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
                    out_dir: str, workers: int = 1) -> str:
     """Balanced synthetic dataset on disk; returns the manifest path.
 
     Each record's rng derives from (spec.seed, split, index), so output
-    bytes depend only on the spec, not on worker count or schedule.
+    bytes depend only on the spec, not on worker count or schedule. Each
+    record is quantized to its file's 8-bit pixels as soon as it is built
+    and written with the records before it once they hold
+    `_WRITE_BATCH_BYTES` (worker threads build ahead of the writer by at
+    most two records each), so synthesis holds a few records whatever the
+    dataset size. The files go to a staging directory beside `out_dir`, the
+    manifest last; only the complete dataset then replaces `out_dir`, as
+    a whole. On an error the staging directory is removed and `out_dir`
+    is left as it was. An existing `out_dir` must be an empty directory or
+    hold a manifest.csv, so no other directory is ever replaced.
     """
     for n in (n_train, n_val, n_test):
         if n < 2 or n % 2:
             raise ValueError("split sizes must be even and >= 2 (balanced classes)")
-    jobs = []
-    for split_idx, (split, n) in enumerate(zip(SPLITS, (n_train, n_val, n_test))):
-        for i in range(n):
-            positive = i % 2 == 0
-            jobs.append((split_idx, split, i, positive))
+    if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and (
+            os.path.isfile(os.path.join(out_dir, "manifest.csv")) or not os.listdir(out_dir))):
+        raise ValueError(f"{out_dir} exists and is not a dataset directory; "
+                         f"it is not replaced")
+    jobs = [(split_idx, split, i, i % 2 == 0)
+            for split_idx, (split, n) in enumerate(zip(SPLITS, (n_train, n_val, n_test)))
+            for i in range(n)]
 
     def build(job):
-        split_idx, split, i, positive = job
-        rng = np.random.default_rng([spec.seed, split_idx, i])
-        rec = generate_record(spec, positive, rng)
-        rec.split = split
-        return rec
+        split_idx, _, i, positive = job
+        rec = generate_record(spec, positive, np.random.default_rng([spec.seed, split_idx, i]))
+        return rec.label, quantize(rec.image)
 
-    if workers > 1:
+    def built():
+        if workers <= 1:
+            yield from map(build, jobs)
+            return
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            built = list(ex.map(build, jobs))
-    else:
-        built = [build(j) for j in jobs]
+            ahead = collections.deque()
+            for job in jobs:
+                ahead.append(ex.submit(build, job))
+                if len(ahead) > 2 * workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
 
-    # only once every record is built, so a failed build leaves no tree
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["path", "label", "split"])
-        for (split_idx, split, i, positive), rec in zip(jobs, built):
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.staging")
+    os.mkdir(staging)
+    try:
+        os.mkdir(os.path.join(staging, "images"))
+        rows, batch = [["path", "label", "split"]], []
+
+        def write_batch():
+            for rel, pixels in batch:
+                write_pgm(os.path.join(staging, rel), pixels)
+            batch.clear()
+
+        for (_, split, i, positive), (label, pixels) in zip(jobs, built()):
             rel = os.path.join("images", f"{split}_{i:04d}_{'p' if positive else 'n'}.pgm")
-            write_pgm(os.path.join(out_dir, rel), rec.image)
-            writer.writerow([rel, rec.label, split])
-    return manifest_path
+            rows.append([rel, label, split])
+            batch.append((rel, pixels))
+            if len(batch) * pixels.nbytes >= _WRITE_BATCH_BYTES:
+                write_batch()
+        write_batch()
+        with open(os.path.join(staging, "manifest.csv"), "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        _replace_dir(staging, os.path.join(parent, name))
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return os.path.join(out_dir, "manifest.csv")
+
+
+def _replace_dir(src: str, dst: str) -> None:
+    """Move directory `src` to `dst`, replacing whatever directory is
+    there as a whole. A non-empty `dst` is first renamed aside, so an
+    interruption leaves either it or nothing at `dst`, never a mix."""
+    try:
+        os.rename(src, dst)  # dst absent or an empty directory
+        return
+    except OSError as e:
+        if e.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+            raise
+    old = src[:-len(".staging")] + ".replaced"
+    os.rename(dst, old)
+    try:
+        os.rename(src, dst)
+    except BaseException:
+        os.rename(old, dst)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 # -------------------------------------------------------------- baseline

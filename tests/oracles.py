@@ -188,8 +188,9 @@ def prepare_batch_three_planes(images, labels, cfg, size, rng, num_classes=2):
 
 # ------------------------------------------------------- foreign_object generator
 #
-# The full-grid foreign_object background and clutter: every stroke step
-# tests its disk on every pixel, and every paste works on a full-size mask.
+# The full-grid foreign_object background, clutter and objects: every stroke
+# step and every shape tests its pixels on the whole grid, and every paste
+# works on a full-size mask.
 # swinqa.data computes the same bits on the windows it changes.
 
 
@@ -262,3 +263,59 @@ def add_clutter(img, size, rng):
         mask = np.zeros_like(img, dtype=bool)
         mask[y:y + int(rng.integers(1, 3)), x:x + int(rng.integers(1, 3))] = True
         rough_paste(mask, float(rng.uniform(0.42, 0.55)))
+
+
+def textured_paste(img, mask, contrast, bg_lo, bg_hi):
+    """Set `mask` to a constant at `contrast` from its mean, inside the
+    background range with `amp` of headroom, plus a +-amp checkerboard in
+    grid parity; returns (constant, amp)."""
+    local = float(img[mask].mean()) if mask.any() else 0.5
+    side = 1.0 if bg_hi - local > local - bg_lo else -1.0
+    amp = 0.18
+    lo_b, hi_b = bg_lo + amp + 0.01, bg_hi - amp - 0.01
+    if lo_b <= hi_b:
+        value = min(max(local + side * contrast, lo_b), hi_b)
+    else:
+        value = 0.5 * (bg_lo + bg_hi)
+        amp = max(0.0, 0.5 * (bg_hi - bg_lo) - 0.01)
+    yy, xx = np.nonzero(mask)
+    img[yy, xx] = value + amp * (((yy + xx) % 2) * 2.0 - 1.0)
+    return float(value), float(amp)
+
+
+def add_objects(img, spec, rng):
+    """The positives' shapes, each tested on the full index grid and
+    pasted through a full-size mask; returns (objects, union pixel count)."""
+    size = spec.size
+    yy, xx = np.mgrid[0:size, 0:size]
+    count = int(rng.integers(spec.object_count[0], spec.object_count[1] + 1))
+    r_lo = max(5, spec.object_radius[0])
+    r_hi = max(r_lo, spec.object_radius[1] - (count - 1))
+    bg_lo = float(img.min()) + 0.02
+    bg_hi = float(img.max()) - 0.02
+    support = np.zeros((size, size), dtype=bool)
+    objects = []
+    for _ in range(count):
+        r = float(rng.integers(r_lo, r_hi + 1))
+        kind = ("disk", "square", "bar")[int(rng.integers(0, 3))]
+        horizontal = bool(rng.integers(0, 2))
+        length, width = 1.6 * r, max(3.5, 0.45 * r)
+        extent = {"disk": r, "square": 0.7 * r * math.sqrt(2.0),
+                  "bar": math.hypot(length, width)}[kind]
+        margin = min(extent + 2, size / 2)
+        cy = float(rng.uniform(margin, size - margin))
+        cx = float(rng.uniform(margin, size - margin))
+        dy, dx = np.abs(yy - cy), np.abs(xx - cx)
+        if kind == "disk":
+            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        elif kind == "square":
+            mask = (dy <= 0.7 * r) & (dx <= 0.7 * r)
+        elif horizontal:
+            mask = (dx <= length) & (dy <= width)
+        else:
+            mask = (dy <= length) & (dx <= width)
+        value, amp = textured_paste(img, mask, float(rng.uniform(0.42, 0.55)), bg_lo, bg_hi)
+        support |= mask
+        objects.append({"kind": kind, "cy": cy, "cx": cx, "r": r, "extent": float(extent),
+                        "value": value, "amp": amp, "pixels": int(mask.sum())})
+    return objects, int(support.sum())

@@ -445,6 +445,25 @@ def test_prepare_batch_eval_matches_resize_normalize():
             assert np.array_equal(batches[name], want.astype(dtype)), name
 
 
+def test_prepare_batch_eval_of_gray_uint8_at_size_is_the_per_image_path():
+    # a batch of gray 8-bit pixels at the size is normalized in one pass;
+    # its bits are those of each image through resize_normalize, cast.
+    # Every level occurs, and the config's mean and std are not the default
+    rng = np.random.default_rng(12)
+    cfg = AugConfig(normalize_mean=(0.3, 0.5, 0.7), normalize_std=(0.11, 0.2, 0.3))
+    pixels = [rng.permutation(256).astype(np.uint8).reshape(16, 16) for _ in range(5)]
+    for dtype in (np.float32, np.float64):
+        want = np.stack([resize_normalize(im, 16, 16, cfg) for im in pixels]).astype(dtype)
+        with using_dtype(dtype):
+            got, _ = prepare_batch(pixels, [0] * 5, cfg, "eval", 16)
+            # one image off the size sends the batch down the per-image path
+            odd = pixels[:4] + [rng.integers(0, 256, size=(12, 16), dtype=np.uint8)]
+            mixed, _ = prepare_batch(odd, [0] * 5, cfg, "eval", 16)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        want_mixed = np.stack([resize_normalize(im, 16, 16, cfg) for im in odd]).astype(dtype)
+        assert mixed.tobytes() == want_mixed.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rgb=st.booleans(), resized=st.booleans(),
        count=st.integers(1, 4))

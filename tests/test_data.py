@@ -3,8 +3,15 @@ trips, manifest validation, and the equalization remap."""
 
 import collections
 import hashlib
+import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +35,9 @@ from swinqa.data import (
     write_pgm,
     write_ppm,
 )
+
+
+SRC = str(Path(data.__file__).resolve().parent.parent)
 
 
 def fo_spec(**over):
@@ -346,15 +356,18 @@ def test_make_benchmark_bytes_are_pinned(tmp_path, spec, want):
 
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(32, 256), seed=st.integers(0, 2**32 - 1),
-       blobs=st.integers(0, 8))
-def test_foreign_object_matches_full_grid_reference(size, seed, blobs):
-    """The windowed background and clutter give the bytes of the full-grid
-    reference, on both classes: every pixel and every metadata value."""
-    spec = SynthSpec(size=size, background_blobs=blobs, seed=seed)
+       blobs=st.integers(0, 8), radius=st.integers(4, 40), count=st.integers(1, 6))
+def test_foreign_object_matches_full_grid_reference(size, seed, blobs, radius, count):
+    """The windowed background, clutter and objects give the bytes of the
+    full-grid reference, on both classes: every pixel and every metadata
+    value. Large radii put shapes against the image's edges."""
+    spec = SynthSpec(size=size, background_blobs=blobs, seed=seed,
+                     object_radius=(4, radius), object_count=(1, count))
     for positive in (True, False):
         got = synth_foreign_object(spec, positive, np.random.default_rng(seed))
         with mock.patch.object(data, "_blob_background", oracles.blob_background), \
-                mock.patch.object(data, "_add_clutter", oracles.add_clutter):
+                mock.patch.object(data, "_add_clutter", oracles.add_clutter), \
+                mock.patch.object(data, "_add_objects", oracles.add_objects):
             want = synth_foreign_object(spec, positive, np.random.default_rng(seed))
         assert got.image.tobytes() == want.image.tobytes()
         assert repr(got.meta) == repr(want.meta)
@@ -380,6 +393,102 @@ def test_make_benchmark_failure_leaves_no_tree(tmp_path):
     with mock.patch.object(data, "generate_record", fail), pytest.raises(ValueError):
         make_benchmark(fo_spec(), 2, 2, 2, str(out))
     assert not out.exists()
+
+
+def dataset_files(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_make_benchmark_failure_keeps_the_existing_dataset(tmp_path):
+    # the failure comes after several images of the new set are written
+    out = tmp_path / "ds"
+    make_benchmark(fo_spec(), 4, 2, 2, str(out))
+    before = dataset_files(out)
+    built = []
+
+    def fail_late(spec, positive, rng):
+        if len(built) == 5:
+            raise ValueError("generator failed")
+        built.append(data.synth_foreign_object(spec, positive, rng))
+        return built[-1]
+
+    with mock.patch.object(data, "generate_record", fail_late), \
+            pytest.raises(ValueError, match="generator failed"):
+        make_benchmark(fo_spec(seed=8), 4, 2, 2, str(out))
+    assert dataset_files(out) == before
+    assert os.listdir(tmp_path) == ["ds"]  # the staging directory is gone
+
+
+def test_make_benchmark_replaces_a_dataset_as_a_whole(tmp_path):
+    out, fresh = tmp_path / "ds", tmp_path / "fresh"
+    make_benchmark(fo_spec(), 8, 4, 2, str(out))
+    (out / "images" / "stale.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+    make_benchmark(fo_spec(seed=9), 4, 2, 2, str(out))
+    make_benchmark(fo_spec(seed=9), 4, 2, 2, str(fresh))
+    assert dataset_files(out) == dataset_files(fresh)
+    assert sorted(os.listdir(tmp_path)) == ["ds", "fresh"]
+    # an empty directory is filled; any other directory, or a file, stays
+    (tmp_path / "empty").mkdir()
+    make_benchmark(fo_spec(seed=9), 4, 2, 2, str(tmp_path / "empty"))
+    assert dataset_files(tmp_path / "empty") == dataset_files(fresh)
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "notes.txt").write_text("keep")
+    (tmp_path / "file").write_text("keep")
+    for name in ("other", "file"):
+        with pytest.raises(ValueError, match="not a dataset directory"):
+            make_benchmark(fo_spec(), 2, 2, 2, str(tmp_path / name))
+    assert (tmp_path / "other" / "notes.txt").read_text() == "keep"
+    assert (tmp_path / "file").read_text() == "keep"
+    assert sorted(os.listdir(tmp_path)) == ["ds", "empty", "file", "fresh", "other"]
+
+
+def test_make_benchmark_memory_does_not_grow_with_the_record_count(tmp_path):
+    # records are written in runs of a bounded size as they are built: 60
+    # lvot records at 224 peak within 0.5 MB of 20 (one float64 record is
+    # 0.4 MB)
+    spec = SynthSpec(task="lvot", size=224, seed=3)
+    make_benchmark(spec, 2, 2, 2, str(tmp_path / "warm"))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_train in (16, 56):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            make_benchmark(spec, n_train, 2, 2, str(tmp_path / f"ds{n_train}"))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * 2**20, peaks
+
+
+def test_killed_synth_leaves_no_manifest_and_train_exits_1(tmp_path):
+    out = tmp_path / "run"
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"synth": {"task": "lvot", "size": 224, "n_train": 1000,
+                                            "n_val": 2, "n_test": 2}}))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    swinqa = [sys.executable, "-m", "swinqa.cli"]
+    proc = subprocess.Popen(swinqa + ["synth", "--config", str(config), "--out", str(out)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob(".dataset.*.staging/images/*.pgm")):
+            assert proc.poll() is None, "synth ended before it was killed"
+            assert time.monotonic() < deadline, "no staged image appeared"
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not (out / "dataset").exists()
+    assert not list(out.rglob("manifest.csv"))
+    done = subprocess.run(swinqa + ["train", "--manifest", str(out / "dataset" / "manifest.csv"),
+                                    "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ") and "manifest.csv" in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_make_benchmark_rejects_odd_or_tiny_splits(tmp_path):

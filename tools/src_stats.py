@@ -8,10 +8,13 @@ their total, then the autodiff nodes that one training-mode forward of
 `micro` at batch 4 records: the nodes reachable from the loss through
 `_parents` (the loss itself counted apart), how many of them each Swin
 block and each patch merging adds, and the rest, which the stem and the
-head add. Last, the import footprint: the peak RSS of a fresh interpreter
+head add. Then the import footprint: the peak RSS of a fresh interpreter
 that runs `import swinqa.cli` with BLAS pinned to one thread, against one
 that imports numpy alone, and the third-party top-level packages that the
-swinqa import loads. Two trees are compared by running the script on each.
+swinqa import loads. Last, the synthesis footprint: the peak RSS of a
+fresh interpreter that runs `make_benchmark` at criterion 8's spec, and
+one that writes 300 `lvot` images at 224x224. Two trees are compared by
+running the script on each.
 """
 from __future__ import annotations
 
@@ -25,6 +28,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # OpenBLAS reads these once, when numpy loads
 
 import numpy as np  # noqa: E402
+
+# (task, size, split sizes) of each synthesis footprint: criterion 8's set,
+# and 300 images at the published input size
+SYNTH_CASES = (("foreign_object", 64, (400, 100, 100)), ("lvot", 224, (200, 50, 50)))
 
 
 def op_nodes(out, stop=None) -> int:
@@ -68,33 +75,52 @@ def graph_counts(swin, tensor) -> tuple[int, dict]:
                             for name, pairs in calls.items()}
 
 
-# run in a fresh interpreter: peak RSS in MB after `import <module>`, and
-# the site-packages top-level packages that import added to sys.modules.
-# The peak is VmHWM where /proc has it: ru_maxrss carries over the peak of
-# the process that started the interpreter
-FOOTPRINT = """
-import json, resource, sys, sysconfig
+# the peak RSS in MB of the interpreter that ran the code before it, as
+# `peak`. VmHWM where /proc has it: ru_maxrss carries over the peak of the
+# process that started the interpreter
+PEAK = """
+import resource
+try:
+    with open("/proc/self/status") as f:
+        peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak /= 1024
+"""
+
+# after `import <module>`: the peak, and the site-packages top-level
+# packages that the import added to sys.modules
+IMPORT = """
+import json, sys, sysconfig
 before = set(sys.modules)
 import {module}
 site = tuple({{sysconfig.get_paths()[k] for k in ("purelib", "platlib")}})
 added = {{sys.modules[m] for m in set(sys.modules) - before}}
 tops = {{m.__name__.split(".")[0] for m in added
         if (getattr(m, "__file__", None) or "").startswith(site)}}
-try:
-    with open("/proc/self/status") as f:
-        peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps([peak / 1024, sorted(tops - {{"swinqa"}})]))
+""" + PEAK + """
+print(json.dumps([peak, sorted(tops - {{"swinqa"}})]))
+"""
+
+# `make_benchmark` of one spec into a temporary directory: the peak
+SYNTH = """
+import json, tempfile
+from swinqa import data
+with tempfile.TemporaryDirectory() as d:
+    data.make_benchmark(data.SynthSpec(task={task!r}, size={size}, seed=1234),
+                        *{splits}, d + "/dataset")
+""" + PEAK + """
+print(json.dumps(peak))
 """
 
 
-def import_footprint(src: Path, module: str) -> tuple[float, list]:
-    """(peak RSS in MB, third-party packages) of a fresh `import module`."""
+def fresh_run(src: Path, code: str):
+    """The JSON that `code` prints, run by a fresh interpreter that
+    imports swinqa from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT.format(module=module)],
+    done = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, check=True)
-    return tuple(json.loads(done.stdout))
+    return json.loads(done.stdout)
 
 
 def main(argv) -> int:
@@ -121,10 +147,14 @@ def main(argv) -> int:
     print(f"nodes per block: {' '.join(map(str, per_block))}")
     print(f"nodes per merge: {' '.join(map(str, per_merge))}")
     print(f"stem and head: {nodes - 1 - sum(per_block) - sum(per_merge)} nodes")
-    base, _ = import_footprint(src, "numpy")
-    peak, tops = import_footprint(src, "swinqa.cli")
+    base, _ = fresh_run(src, IMPORT.format(module="numpy"))
+    peak, tops = fresh_run(src, IMPORT.format(module="swinqa.cli"))
     print(f"import swinqa.cli: peak RSS {peak:.1f} MB (numpy alone {base:.1f} MB), "
           f"third-party packages: {' '.join(tops) or 'none'}")
+    for task, size, splits in SYNTH_CASES:
+        peak = fresh_run(src, SYNTH.format(task=task, size=size, splits=splits))
+        print(f"make_benchmark {task} {size}x{size} {'/'.join(map(str, splits))}: "
+              f"peak RSS {peak:.1f} MB")
     return 0
 
 
