@@ -16,6 +16,7 @@ import errno
 import functools
 import math
 import os
+import re
 import shutil
 from dataclasses import dataclass, field
 
@@ -587,11 +588,12 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
     and written with the records before it once they hold
     `_WRITE_BATCH_BYTES` (worker threads build ahead of the writer by at
     most two records each), so synthesis holds a few records whatever the
-    dataset size. The files go to a staging directory beside `out_dir`, the
-    manifest last; only the complete dataset then replaces `out_dir`, as
-    a whole. On an error the staging directory is removed and `out_dir`
-    is left as it was. An existing `out_dir` must be an empty directory or
-    hold a manifest.csv, so no other directory is ever replaced.
+    dataset size. The files go to a staging directory beside `out_dir`
+    named with the writer's pid, the manifest last; only the complete
+    dataset then replaces `out_dir`, as a whole. On an error the staging
+    directory is removed and `out_dir` is left as it was; one a killed
+    writer left is removed by the next run. An existing `out_dir` must be
+    an empty directory or hold a manifest.csv, so no other is replaced.
     """
     for n in (n_train, n_val, n_test):
         if n < 2 or n % 2:
@@ -624,7 +626,8 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
 
     parent, name = os.path.split(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
-    staging = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.staging")
+    _remove_dead_staging(parent, name)
+    staging = os.path.join(parent, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.staging")
     os.mkdir(staging)
     try:
         os.mkdir(os.path.join(staging, "images"))
@@ -649,6 +652,20 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
         shutil.rmtree(staging, ignore_errors=True)
         raise
     return os.path.join(out_dir, "manifest.csv")
+
+
+def _remove_dead_staging(parent: str, name: str) -> None:
+    """Remove the staging directories of `name` in `parent` whose writer,
+    the pid in the name, no longer runs (a killed synthesis). A pid that
+    cannot be probed, such as another user's, counts as live."""
+    dead = re.compile(re.escape(f".{name}.") + r"(\d{1,9})\.[0-9a-f]{12}\.staging")
+    for match in filter(None, map(dead.fullmatch, os.listdir(parent))):
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            shutil.rmtree(os.path.join(parent, match[0]), ignore_errors=True)
+        except PermissionError:
+            pass
 
 
 def _replace_dir(src: str, dst: str) -> None:

@@ -1,9 +1,11 @@
 """Independent brute-force references shared by test files.
 
 Everything here is plain numpy with explicit loops; nothing imports the
-production attention path. The one exception to plain numpy is
+production attention path. The exceptions to plain numpy are
 prepare_batch_three_planes, which composes the production augmentation ops
-and differs from the pipeline only in where grayscale becomes three planes.
+and differs from the pipeline only in where grayscale becomes three planes,
+and init_params, which reads the production param_layout and returns
+production Tensors.
 """
 
 import math
@@ -138,6 +140,24 @@ def adamw_per_name(params, grads, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1
         v[name] += (1.0 - beta2) * g * g
         step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps) + wd * p
         p -= lr * step
+
+
+def init_params(cfg, rng) -> dict:
+    """Fresh parameters one tensor at a time, each weight a float64 draw
+    of its whole shape that Tensor() casts to the engine dtype."""
+    from swinqa.swin import param_layout
+    from swinqa.tensor import Tensor
+
+    params = {}
+    for name, shape in param_layout(cfg):
+        if name.endswith(".gamma"):
+            arr = np.ones(shape)
+        elif name.endswith((".bias", ".beta")):
+            arr = np.zeros(shape)
+        else:
+            arr = rng.normal(0.0, 0.02, size=shape)
+        params[name] = Tensor(arr, requires_grad=True)
+    return params
 
 
 def affine_sample_taps(img, inv, offset, fill=0.5):

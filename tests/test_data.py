@@ -419,6 +419,30 @@ def test_make_benchmark_failure_keeps_the_existing_dataset(tmp_path):
     assert os.listdir(tmp_path) == ["ds"]  # the staging directory is gone
 
 
+def test_make_benchmark_removes_only_dead_writers_staging(tmp_path):
+    """Staging directories of the same name whose pid is gone are removed.
+    Those of a live pid or of one that may not be signalled stay, as do
+    another name's and entries of another form."""
+    probed = []
+
+    def kill(pid, sig):
+        probed.append((pid, sig))
+        if pid == 111:
+            raise ProcessLookupError(pid)
+        if pid == 222:
+            raise PermissionError(pid)
+
+    keep = [".ds.222.0123456789ab.staging", ".ds.333.0123456789ab.staging",
+            ".other.111.0123456789ab.staging", ".ds.0123456789ab.staging",
+            ".ds.111.0123456789ab.replaced", ".ds.111.xyz.staging"]
+    for entry in keep + [".ds.111.0123456789ab.staging"]:
+        (tmp_path / entry / "images").mkdir(parents=True)
+    with mock.patch.object(data.os, "kill", kill):
+        make_benchmark(fo_spec(), 4, 2, 2, str(tmp_path / "ds"))
+    assert sorted(os.listdir(tmp_path)) == sorted(keep + ["ds"])
+    assert sorted(probed) == [(111, 0), (222, 0), (333, 0)]
+
+
 def test_make_benchmark_replaces_a_dataset_as_a_whole(tmp_path):
     out, fresh = tmp_path / "ds", tmp_path / "fresh"
     make_benchmark(fo_spec(), 8, 4, 2, str(out))
@@ -489,6 +513,14 @@ def test_killed_synth_leaves_no_manifest_and_train_exits_1(tmp_path):
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: ") and "manifest.csv" in done.stderr, done.stderr
     assert "Traceback" not in done.stderr
+    # the next synth into the same out removes the dead writer's staging
+    config.write_text(json.dumps({"synth": {"task": "lvot", "size": 32, "n_train": 2,
+                                            "n_val": 2, "n_test": 2}}))
+    done = subprocess.run(swinqa + ["synth", "--config", str(config), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(out)) == ["dataset", "resolved_config.json"]
+    assert (out / "dataset" / "manifest.csv").is_file()
 
 
 def test_make_benchmark_rejects_odd_or_tiny_splits(tmp_path):

@@ -1,6 +1,7 @@
 """Architecture: published parameter/FLOP totals, exact structural
 identities, and attention against brute-force oracles."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     region_attention_oracle,
     region_ids,
 )
+from oracles import init_params as init_params_oracle
 
 from swinqa import swin
 from swinqa.swin import (
@@ -99,6 +101,65 @@ def test_param_count_equals_allocated_scalars():
     params = init_params(micro_cfg(), rng)
     assert sum(p.size for p in params.values()) == count_params(micro_cfg())
     assert list(params) == [n for n, _ in param_layout(micro_cfg())]
+
+
+INIT_CONFIGS = {
+    "micro": preset("micro"),
+    "tiny": preset("tiny"),
+    "p2-c1-w8": micro_cfg(img_size=32, patch_size=2, in_channels=1, window=8),
+}
+
+
+def params_digest(params) -> tuple:
+    """(names, sha256 over each value's dtype, shape and bytes in order)."""
+    h = hashlib.sha256()
+    for p in params.values():
+        h.update(f"{p.data.dtype.str}{p.shape}{p.requires_grad}".encode())
+        h.update(p.data.tobytes())
+    return list(params), h.hexdigest()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", list(INIT_CONFIGS))
+def test_init_params_matches_per_tensor_oracle(name, dtype):
+    """Chunked draws cast on store give the bytes of whole-tensor float64
+    draws cast by Tensor(), in the same key order. One dict is alive at a
+    time: two float64 `tiny` sets would hold 440 MB."""
+    cfg = INIT_CONFIGS[name]
+    with using_dtype(dtype):
+        got = params_digest(init_params(cfg, np.random.default_rng(11)))
+        want = params_digest(init_params_oracle(cfg, np.random.default_rng(11)))
+    assert got == want
+    assert got[0] == [n for n, _ in param_layout(cfg)]
+
+
+def test_init_params_views_one_flat_buffer():
+    cfg = INIT_CONFIGS["p2-c1-w8"]
+    params = init_params(cfg, np.random.default_rng(0))
+    flat = params["patch_embed.weight"].data.base
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.size == count_params(cfg)
+    assert flat.dtype == np.float64  # the engine dtype of this file's fixture
+    start, offset = flat.__array_interface__["data"][0], 0
+    for name, shape in param_layout(cfg):
+        view = params[name].data
+        assert view.base is flat and view.shape == shape, name
+        assert view.__array_interface__["data"][0] == start + offset * flat.itemsize, name
+        offset += int(np.prod(shape))
+
+
+def test_init_params_peak_is_one_flat_buffer():
+    """No float64 copy of a whole weight is made: the traced peak of a
+    float32 `tiny` init is its parameter bytes plus at most 1 MiB."""
+    cfg = preset("tiny")
+    with using_dtype("float32"):
+        tracemalloc.start()
+        try:
+            params = init_params(cfg, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(params) == len(param_layout(cfg))
+    assert peak <= count_params(cfg) * 4 + 2**20, peak
 
 
 def test_flops_within_ten_percent_of_published():

@@ -24,7 +24,9 @@ eval batch of 64 validation images as float32 and the first train-mode
 batch of the criterion-8 recipe (seed 7) with its soft labels. The case
 "convolve" covers both convolution call sites: 16 `lvot` records at 64x64
 with the motion blur on, and `adjust_sharpness` at factors 0.1 and 1.9
-over the first 64 criterion-8 validation images as RGB.
+over the first 64 criterion-8 validation images as RGB. The case "init"
+covers the fresh weights: every value of `init_params` for `micro` and
+`tiny` in float32, seed 0, in layout order.
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -83,6 +85,12 @@ def train_arrays(swin, tensor, name, drop_path: float, as_tensor) -> list:
         soft = np.eye(cfg.num_classes)[[0, 1, 1, 0]]
         tensor.backward(tensor.cross_entropy_soft(logits, tensor.Tensor(soft)))
     return [logits.data] + [params[k].grad for k, _ in swin.param_layout(cfg)]
+
+
+def init_arrays(swin, tensor) -> list:
+    with tensor.using_dtype("float32"):
+        return [p.data for model in ("micro", "tiny")
+                for p in swin.init_params(swin.preset(model), np.random.default_rng(0)).values()]
 
 
 def criterion8_dataset(data, out_dir: str) -> Path:
@@ -155,6 +163,7 @@ def main(argv) -> int:
         records = data.load_manifest(str(manifest))
     cases.append(("batches-c8", batch_arrays(augment, records)))
     cases.append(("convolve", convolve_arrays(data, augment, records)))
+    cases.append(("init", init_arrays(swin, tensor)))
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()

@@ -11,10 +11,13 @@ block and each patch merging adds, and the rest, which the stem and the
 head add. Then the import footprint: the peak RSS of a fresh interpreter
 that runs `import swinqa.cli` with BLAS pinned to one thread, against one
 that imports numpy alone, and the third-party top-level packages that the
-swinqa import loads. Last, the synthesis footprint: the peak RSS of a
+swinqa import loads. Then the synthesis footprint: the peak RSS of a
 fresh interpreter that runs `make_benchmark` at criterion 8's spec, and
-one that writes 300 `lvot` images at 224x224. Two trees are compared by
-running the script on each.
+one that writes 300 `lvot` images at 224x224. Last, the weights
+footprint: the peak RSS of a fresh interpreter that runs `init_params`
+for `tiny` at 224x224 in the default float32, next to its parameter
+bytes (`count_params` x 4). Two trees are compared by running the script
+on each.
 """
 from __future__ import annotations
 
@@ -113,6 +116,17 @@ with tempfile.TemporaryDirectory() as d:
 print(json.dumps(peak))
 """
 
+# `init_params` of `tiny` at 224x224: the peak and the parameter count
+INIT = """
+import json
+import numpy as np
+from swinqa import swin
+cfg = swin.preset("tiny", img_size=224)
+params = swin.init_params(cfg, np.random.default_rng(0))
+""" + PEAK + """
+print(json.dumps([peak, swin.count_params(cfg)]))
+"""
+
 
 def fresh_run(src: Path, code: str):
     """The JSON that `code` prints, run by a fresh interpreter that
@@ -155,6 +169,9 @@ def main(argv) -> int:
         peak = fresh_run(src, SYNTH.format(task=task, size=size, splits=splits))
         print(f"make_benchmark {task} {size}x{size} {'/'.join(map(str, splits))}: "
               f"peak RSS {peak:.1f} MB")
+    peak, n = fresh_run(src, INIT)
+    print(f"init_params tiny 224x224: peak RSS {peak:.1f} MB, "
+          f"parameters {n:,} x 4 bytes = {n * 4 / 2**20:.1f} MB")
     return 0
 
 
