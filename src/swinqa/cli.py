@@ -22,8 +22,7 @@ import typing
 
 from .augment import AugConfig
 from .data import SPLITS, SynthSpec, load_manifest, make_benchmark
-from .swin import count_flops, count_params, param_views, preset
-from .tensor import Tensor
+from .swin import count_flops, count_params, param_tensors, preset
 from .train import (
     TrainAbort,
     TrainConfig,
@@ -233,7 +232,7 @@ def cmd_eval(cfg: dict) -> int:
     params = ckpt.params
     used = "final"
     if e["use_best"] and ckpt.best_params is not None:
-        params = {n: Tensor(v) for n, v in param_views(ckpt.config, ckpt.best_params).items()}
+        params = param_tensors(ckpt.config, ckpt.best_params)
         used = f"best (epoch {ckpt.best_epoch})"
     report = evaluate(ckpt.config, params, records, _build(cfg, "aug"),
                       batch_size=e["batch_size"])
@@ -268,8 +267,8 @@ def cmd_inspect(cfg: dict) -> int:
         print(f"{label:<14} {n_params:>14,d} {gflops:>8.1f}")
     if cfg["inspect"]["checkpoint"]:
         ckpt = load_checkpoint(cfg["inspect"]["checkpoint"])
-        total = sum(p.data.size for p in ckpt.params.values())
-        print(f"checkpoint: {cfg['inspect']['checkpoint']}  params {total:,d}  "
+        print(f"checkpoint: {cfg['inspect']['checkpoint']}  "
+              f"params {count_params(ckpt.config):,d}  "
               f"epochs {ckpt.epoch}  best_epoch {ckpt.best_epoch}")
     with open(os.path.join(cfg["out"], "inspect.json"), "w") as f:
         json.dump(rows, f, indent=2)

@@ -47,7 +47,7 @@ NEG = -1e9  # additive mask value; large but finite so softmax gradients stay de
 # per pass over the weights, and attention_branch's qkv, over whole images
 _MLP_BLOCK = 1 << 17
 _MLP_MIN_ROWS = 512
-_INIT_CHUNK = 1 << 16  # elements per float64 weight draw in init_params (512 KB)
+_INIT_CHUNK = 1 << 16  # elements per float64 weight draw in init_weights (512 KB)
 
 _PRESETS = {
     # name: (embed_dim, depths, heads, drop_path_max, default img, default window)
@@ -721,14 +721,12 @@ def param_views(cfg: SwinConfig, flat: np.ndarray) -> dict:
     return views
 
 
-def init_params(cfg: SwinConfig, rng) -> dict:
-    """Fresh parameters: N(0, 0.02) weights and bias tables, zero biases,
-    unit norm scales. Insertion order is the canonical layout order; every
-    value views one flat buffer of the engine dtype (see param_views).
-    Weights are drawn _INIT_CHUNK elements at a time and cast as each
-    chunk is stored; consecutive draws give the values of one draw."""
+def init_weights(cfg: SwinConfig, rng) -> np.ndarray:
+    """Fresh weights, one flat buffer of the engine dtype in param_layout
+    order: N(0, 0.02) weights and bias tables, zero biases, unit norm
+    scales. Weights are drawn _INIT_CHUNK elements at a time and cast as
+    each chunk is stored; consecutive draws give the values of one draw."""
     flat = np.empty(count_params(cfg), dtype=default_dtype())
-    params = {}
     for name, view in param_views(cfg, flat).items():
         if name.endswith(".gamma"):
             view[...] = 1.0
@@ -738,8 +736,19 @@ def init_params(cfg: SwinConfig, rng) -> dict:
             run = view.reshape(-1)
             for i in range(0, run.size, _INIT_CHUNK):
                 run[i:i + _INIT_CHUNK] = rng.normal(0.0, 0.02, size=min(_INIT_CHUNK, run.size - i))
-        params[name] = Tensor(view, requires_grad=True)
-    return params
+    return flat
+
+
+def param_tensors(cfg: SwinConfig, flat: np.ndarray) -> dict:
+    """Name -> trainable Tensor over each param_views view of `flat`, in
+    layout order; a buffer in the engine dtype is shared, not copied."""
+    return {name: Tensor(view, requires_grad=True)
+            for name, view in param_views(cfg, flat).items()}
+
+
+def init_params(cfg: SwinConfig, rng) -> dict:
+    """Fresh parameters (init_weights) as named Tensors (param_tensors)."""
+    return param_tensors(cfg, init_weights(cfg, rng))
 
 
 def count_params(cfg: SwinConfig) -> int:

@@ -90,7 +90,7 @@ class Tensor:
 
     `data` is a numpy array in the engine dtype. Leaves created with
     `requires_grad=True` receive accumulated gradients in `.grad` after
-    `backward()`; gradients add across calls until `zero_grad()`.
+    `backward()`; gradients add across calls until `.grad` is reset.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -152,9 +152,6 @@ class Tensor:
             self.grad[...] = g
         else:
             self.grad += g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -571,8 +568,8 @@ def cross_entropy_soft(logits: Tensor, targets) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
 
-    Repeated calls without `zero_grad()` add up, which is what gradient
-    accumulation over micro-batches relies on.
+    Repeated calls add into the same `.grad` arrays until the caller resets
+    them, which is what gradient accumulation over micro-batches relies on.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .augment import AugConfig, prepare_batch
-from .swin import SwinConfig, count_params, forward, init_params, param_layout, param_views, preset
+from .swin import (SwinConfig, count_params, forward, init_params, init_weights, param_layout,
+                   param_tensors, param_views, preset)
 from .tensor import (
     ShapeError,
     Tensor,
@@ -430,8 +431,7 @@ def _read_checkpoint(f) -> Checkpoint:
                     raise ValueError(f"{prefix.rstrip('.') or 'weights'} group: tensor "
                                      f"{name} holds a non-finite value ({bad[0]})")
     rows = iter(payload)
-    params = {name: Tensor(view, requires_grad=True)
-              for name, view in param_views(cfg, next(rows)).items()}
+    params = param_tensors(cfg, next(rows))
     optim = None
     if header["optim"] is not None:
         o = header["optim"]
@@ -459,21 +459,6 @@ def _rng_for(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng([seed, *key])
 
 
-def _flat_params(cfg: SwinConfig, source: dict) -> tuple:
-    """Copy `source` (name -> Tensor) into a flat weight buffer; return it,
-    a zeroed flat gradient buffer, and name -> Tensor viewing both, so that
-    backward() accumulates into the gradient buffer in place."""
-    weights = np.empty(count_params(cfg), dtype=default_dtype())
-    grad = np.zeros_like(weights)
-    grads = param_views(cfg, grad)
-    params = {}
-    for name, view in param_views(cfg, weights).items():
-        view[...] = source[name].data
-        params[name] = Tensor(view, requires_grad=True)
-        params[name].grad = grads[name]
-    return weights, grad, params
-
-
 def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
     """Run the configured recipe; returns (and optionally writes) the final
     checkpoint, whose best.* snapshot holds the weights of the epoch with
@@ -484,12 +469,17 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
     if not train_records or not val_records:
         raise ValueError("train and val splits must be nonempty")
 
+    end_epoch = cfg.epochs if cfg.stop_epoch is None else cfg.stop_epoch
     if cfg.checkpoint_in:
         ckpt = load_checkpoint(cfg.checkpoint_in)
         if ckpt.config != scfg:
             raise ValueError("checkpoint config does not match the train config")
-        weights, grad, params = _flat_params(scfg, ckpt.params)
-        optim = ckpt.optim if ckpt.optim is not None else init_optim_state(weights)
+        if end_epoch < ckpt.epoch:
+            raise ValueError(f"run ends at epoch {end_epoch}, before the checkpoint's "
+                             f"epoch {ckpt.epoch}")
+        weights = np.concatenate([p.data.reshape(-1) for p in ckpt.params.values()],
+                                 dtype=default_dtype())
+        optim = ckpt.optim
         start_epoch = ckpt.epoch
         history = list(ckpt.history)
         best_epoch = ckpt.best_epoch
@@ -500,18 +490,23 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             best_key = (row["val_auc"] if row["val_auc"] is not None else -1.0,
                         row["val_acc"])
     else:
-        weights, grad, params = _flat_params(scfg, init_params(scfg, _rng_for(cfg.seed, 0)))
-        optim = init_optim_state(weights)
+        weights = init_weights(scfg, _rng_for(cfg.seed, 0))  # trained in place
         start_epoch = 0
         history = []
-        best_epoch, best_params, best_key = None, None, None
+        optim, best_epoch, best_params, best_key = None, None, None, None
+    # backward() accumulates into the flat gradient buffer through each .grad view
+    params = param_tensors(scfg, weights)
+    grad = np.zeros_like(weights)
+    for name, view in param_views(scfg, grad).items():
+        params[name].grad = view
+    if optim is None:
+        optim = init_optim_state(weights)
 
     n = len(train_records)
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     steps_per_epoch = math.ceil(batches_per_epoch / cfg.grad_accum_steps)
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
-    end_epoch = cfg.epochs if cfg.stop_epoch is None else cfg.stop_epoch
 
     for epoch in range(start_epoch, end_epoch):
         order = _rng_for(cfg.seed, 1, epoch).permutation(n)
@@ -601,15 +596,14 @@ class ThroughputReport:
 
 
 def throughput(cfg: SwinConfig, batch_size: int, n_warmup: int = 3,
-               n_timed: int = 10, params: dict | None = None) -> ThroughputReport:
+               n_timed: int = 10) -> ThroughputReport:
     """Median wall-clock time of eval-mode forward passes, warmup excluded.
     Numbers are hardware-local; nothing compares them across machines."""
     if n_timed < 10:
         raise ValueError("n_timed must be >= 10")
     if batch_size < 1 or n_warmup < 0:
         raise ValueError("batch_size must be >= 1 and n_warmup >= 0")
-    if params is None:
-        params = init_params(cfg, np.random.default_rng(0))
+    params = init_params(cfg, np.random.default_rng(0))
     x = np.random.default_rng(1).random((batch_size, cfg.img_size, cfg.img_size, cfg.in_channels))
     times = []
     with no_grad():

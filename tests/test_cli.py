@@ -17,7 +17,7 @@ from swinqa import cli
 from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
-from swinqa.swin import init_params, preset
+from swinqa.swin import init_params, param_views, preset
 from swinqa.train import Checkpoint, TrainConfig, save_checkpoint
 from test_acceptance import RECIPE
 
@@ -397,14 +397,14 @@ def test_train_nan_abort_exits_2(tmp_path, capsys, monkeypatch):
     manifest = synth_small(tmp_path)
     # a checkpoint cannot carry NaN weights in (loading refuses them), so
     # the NaN goes in at initialization
-    init = train_module.init_params
+    init = train_module.init_weights
 
     def poisoned(cfg, rng):
-        params = init(cfg, rng)
-        params["head.weight"].data[:] = np.nan
-        return params
+        flat = init(cfg, rng)
+        param_views(cfg, flat)["head.weight"][:] = np.nan
+        return flat
 
-    monkeypatch.setattr(train_module, "init_params", poisoned)
+    monkeypatch.setattr(train_module, "init_weights", poisoned)
     cfg = train_config(tmp_path, manifest, epochs=1)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "aborted" in capsys.readouterr().err
@@ -474,6 +474,22 @@ def test_resume_from_cli_checkpoint(tmp_path, capsys):
     assert len(history) == 3  # both epochs present after the resumed leg
     assert history[1].startswith("1,") and history[2].startswith("2,")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("over", [dict(epochs=3, stop_epoch=1), dict(epochs=1)],
+                         ids=["stop_epoch", "epochs"])
+def test_resume_ending_before_the_checkpoint_epoch_exits_1(tmp_path, capsys, over):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    path = str(tmp_path / "epoch2.swq")
+    save_checkpoint(path, Checkpoint(config=scfg, epoch=2,
+                                     params=init_params(scfg, np.random.default_rng(0))))
+    out = str(tmp_path / "t")
+    cfg = train_config(tmp_path, manifest, checkpoint_in=path, **over)
+    assert main(["train", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: run ends at epoch 1, before the checkpoint's epoch 2\n"
+    assert not os.path.exists(os.path.join(out, "checkpoint.swq"))
 
 
 # ------------------------------------------------------------------- bench

@@ -167,13 +167,13 @@ def test_backward_fanout_accumulates():
     assert abs(x.grad[0] - 7.0) < 1e-15
 
 
-def test_backward_repeat_accumulates_until_zero_grad():
+def test_backward_repeat_accumulates_until_grad_reset():
     x = Tensor([1.0, 2.0], requires_grad=True)
     loss = (x * x).sum()
     backward(loss)
     backward(loss)
     assert np.abs(x.grad - 4 * x.data).max() < 1e-15
-    x.zero_grad()
+    x.grad = None
     backward((x * x).sum())
     assert np.abs(x.grad - 2 * x.data).max() < 1e-15
 

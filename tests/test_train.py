@@ -554,33 +554,60 @@ def test_train_is_deterministic_and_resumable(tmp_path):
 def test_train_nan_params_abort(monkeypatch):
     # a checkpoint cannot carry NaN weights in (load_checkpoint refuses
     # them), so the NaN goes in at initialization
-    init = train_module.init_params
+    init = train_module.init_weights
 
     def poisoned(cfg, rng):
-        params = init(cfg, rng)
-        params["head.bias"].data[:] = np.nan
-        return params
+        flat = init(cfg, rng)
+        param_views(cfg, flat)["head.bias"][:] = np.nan
+        return flat
 
-    monkeypatch.setattr(train_module, "init_params", poisoned)
+    monkeypatch.setattr(train_module, "init_weights", poisoned)
     with pytest.raises(TrainAbort, match="epoch 1"):
         train(micro_train_cfg(epochs=1, warmup_epochs=0), records(4), records(4))
+
+
+def test_train_from_scratch_trains_the_init_buffer(monkeypatch):
+    buffers = []
+    init = train_module.init_weights
+
+    def captured(cfg, rng):
+        buffers.append(init(cfg, rng))
+        return buffers[-1]
+
+    monkeypatch.setattr(train_module, "init_weights", captured)
+    ckpt = train(micro_train_cfg(epochs=1, warmup_epochs=0), records(4), records(4))
+    (flat,) = buffers
+    assert list(ckpt.params) == [name for name, _ in train_module.param_layout(ckpt.config)]
+    for name, p in ckpt.params.items():
+        assert np.shares_memory(p.data, flat), name
+
+
+@pytest.mark.parametrize("over", [dict(epochs=3, stop_epoch=1), dict(epochs=1)],
+                         ids=["stop_epoch", "epochs"])
+def test_train_refuses_to_end_before_the_checkpoint_epoch(tmp_path, over):
+    path, out = str(tmp_path / "in.swq"), str(tmp_path / "out.swq")
+    save_checkpoint(path, micro_checkpoint())  # micro preset, epoch 2
+    cfg = micro_train_cfg(warmup_epochs=0, drop_path_max=None, checkpoint_in=path,
+                          checkpoint_out=out, **over)
+    with pytest.raises(ValueError, match=r"run ends at epoch 1, before the checkpoint's epoch 2"):
+        train(cfg, records(4), records(4))
+    assert not os.path.exists(out)
 
 
 def _train_with_gradient_edit(monkeypatch, edit):
     """Train one micro epoch, applying edit(params) after every backward."""
     params = {}
-    flat_params, backward = train_module._flat_params, train_module.backward
+    tensors, backward = train_module.param_tensors, train_module.backward
 
     def capture(*args):
-        weights, grad, named = flat_params(*args)
-        params.update(named)
-        return weights, grad, named
+        params.update(tensors(*args))
+        return params
 
     def edited_backward(loss):
         backward(loss)
         edit(params)
 
-    monkeypatch.setattr(train_module, "_flat_params", capture)
+    monkeypatch.setattr(train_module, "param_tensors", capture)
     monkeypatch.setattr(train_module, "backward", edited_backward)
     return train(micro_train_cfg(epochs=1, warmup_epochs=0), records(4), records(4))
 

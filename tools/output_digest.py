@@ -26,7 +26,11 @@ batch of the criterion-8 recipe (seed 7) with its soft labels. The case
 with the motion blur on, and `adjust_sharpness` at factors 0.1 and 1.9
 over the first 64 criterion-8 validation images as RGB. The case "init"
 covers the fresh weights: every value of `init_params` for `micro` and
-`tiny` in float32, seed 0, in layout order.
+`tiny` in float32, seed 0, in layout order. The case "train" covers the
+training loop: the `checkpoint.swq` and `history.csv` bytes of a 2-epoch
+`micro` run from scratch at the criterion-8 recipe (seed 7) on the first
+64 train and 32 validation images of the criterion-8 set, then of the same
+run paused after epoch 1 and resumed from its checkpoint.
 
 The digest goes to stdout; one line per case, with its own digest, goes to
 stderr.
@@ -53,6 +57,9 @@ EVAL_CASES = (  # (name, preset, img_size, window, batch, dtype, as Tensor)
     ("tiny-b1-f64", "tiny", None, None, 1, "float64", True),
     ("micro-64-b64-array", "micro", 64, None, 64, "float32", False),
 )
+# the augmentation of criterion 8's recipe
+C8_AUG = dict(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05, cutmix_alpha=0.05,
+              erase_prob=0.0, jitter_strength=0.05)
 TRAIN_CASES = (  # (name, drop path, as Tensor)
     ("micro-128-b4-dp0", 0.0, True),
     ("micro-128-b4-dp0.3", 0.3, True),
@@ -115,8 +122,7 @@ def batch_arrays(augment, records: list) -> list:
     at seed 7 for epoch 0, batch 0."""
     train = [r for r in records if r.split == "train"]
     val = [r for r in records if r.split == "val"][:64]
-    aug = augment.AugConfig(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05,
-                            cutmix_alpha=0.05, erase_prob=0.0, jitter_strength=0.05)
+    aug = augment.AugConfig(**C8_AUG)
     x_eval, _ = augment.prepare_batch([r.image for r in val], [r.label for r in val],
                                       aug, "eval", 64)
     idx = np.random.default_rng([7, 1, 0]).permutation(len(train))[:4]
@@ -136,6 +142,28 @@ def convolve_arrays(data, augment, records: list) -> list:
     return lvot + [augment.adjust_sharpness(img, f) for f in (0.1, 1.9) for img in val]
 
 
+def train_run_arrays(augment, train, records: list, out_dir: str) -> list:
+    """The checkpoint and history bytes of a short criterion-8-recipe run
+    straight through, then of the same run paused after epoch 1 and
+    resumed."""
+    tr = [r for r in records if r.split == "train"][:64]
+    val = [r for r in records if r.split == "val"][:32]
+    recipe = dict(mode="scratch", model="micro", epochs=2, warmup_epochs=1, batch_size=4,
+                  grad_accum_steps=1, drop_path_max=0.0, seed=7,
+                  aug=augment.AugConfig(**C8_AUG))
+    legs = (("straight", {}), ("paused", {"stop_epoch": 1}),
+            ("resumed", {"checkpoint_in": os.path.join(out_dir, "paused.swq")}))
+    arrays = []
+    for name, over in legs:
+        path = os.path.join(out_dir, f"{name}.swq")
+        ckpt = train.train(train.TrainConfig(checkpoint_out=path, **recipe, **over), tr, val)
+        train.write_history_csv(os.path.join(out_dir, f"{name}.csv"), ckpt.history)
+        if name != "paused":
+            arrays += [np.fromfile(path, dtype=np.uint8),
+                       np.fromfile(os.path.join(out_dir, f"{name}.csv"), dtype=np.uint8)]
+    return arrays
+
+
 def digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -153,7 +181,7 @@ def main(argv) -> int:
         print(f"error: no swinqa package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    from swinqa import augment, data, swin, tensor
+    from swinqa import augment, data, swin, tensor, train
 
     cases = [(c[0], eval_arrays(swin, tensor, *c)) for c in EVAL_CASES]
     cases += [(c[0], train_arrays(swin, tensor, *c)) for c in TRAIN_CASES]
@@ -164,6 +192,8 @@ def main(argv) -> int:
     cases.append(("batches-c8", batch_arrays(augment, records)))
     cases.append(("convolve", convolve_arrays(data, augment, records)))
     cases.append(("init", init_arrays(swin, tensor)))
+    with tempfile.TemporaryDirectory() as d:
+        cases.append(("train", train_run_arrays(augment, train, records, d)))
     total = hashlib.sha256()
     for name, arrays in cases:
         case = digest(arrays).hexdigest()
