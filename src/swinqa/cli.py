@@ -28,6 +28,7 @@ from .train import (
     TrainConfig,
     evaluate,
     load_checkpoint,
+    replace_atomically,
     throughput,
     train,
     write_history_csv,
@@ -157,7 +158,7 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
 def write_resolved_config(cfg: dict, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "resolved_config.json")
-    with open(path, "w") as f:
+    with replace_atomically(path) as f:
         json.dump(cfg, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
@@ -237,14 +238,14 @@ def cmd_eval(cfg: dict) -> int:
     report = evaluate(ckpt.config, params, records, _build(cfg, "aug"),
                       batch_size=e["batch_size"])
     report_path = os.path.join(cfg["out"], "eval_report.json")
-    with open(report_path, "w") as f:
+    with replace_atomically(report_path) as f:
         json.dump({"accuracy": report.accuracy, "auc": report.auc,
                    "mean_loss": report.mean_loss, "confusion": report.confusion,
                    "n_samples": len(report.samples), "split": e["split"],
                    "weights": used}, f, indent=2, sort_keys=True)
         f.write("\n")
     csv_path = os.path.join(cfg["out"], "per_sample.csv")
-    with open(csv_path, "w", newline="") as f:
+    with replace_atomically(csv_path, "w", newline="") as f:
         f.write("index,score,label,entropy\n")
         for i, s in enumerate(report.samples):
             f.write(f"{i},{s['score']!r},{s['label']},{s['entropy']!r}\n")
@@ -270,7 +271,7 @@ def cmd_inspect(cfg: dict) -> int:
         print(f"checkpoint: {cfg['inspect']['checkpoint']}  "
               f"params {count_params(ckpt.config):,d}  "
               f"epochs {ckpt.epoch}  best_epoch {ckpt.best_epoch}")
-    with open(os.path.join(cfg["out"], "inspect.json"), "w") as f:
+    with replace_atomically(os.path.join(cfg["out"], "inspect.json")) as f:
         json.dump(rows, f, indent=2)
         f.write("\n")
     return 0
@@ -285,7 +286,7 @@ def cmd_bench(cfg: dict) -> int:
           f"{report.images_per_sec:.2f} img/s "
           f"(median {report.median_s * 1e3:.1f} ms, "
           f"IQR {report.iqr_s * 1e3:.1f} ms, n={report.n_timed})")
-    with open(os.path.join(cfg["out"], "bench.json"), "w") as f:
+    with replace_atomically(os.path.join(cfg["out"], "bench.json")) as f:
         json.dump(dataclasses.asdict(report), f, indent=2, sort_keys=True)
         f.write("\n")
     return 0

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+import mmap
 import os
 import struct
 import time
@@ -47,6 +48,11 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "val_acc", "val_auc", "lr")
 
 MAGIC = b"SWQK"
 FORMAT_VERSION = 1
+# save_checkpoint pads the header with spaces so the payload starts at a
+# multiple of this many bytes of the file
+PAYLOAD_ALIGN = 64
+# float32 values per read of the loader's non-finite scan
+_SCAN_CHUNK = 1 << 18
 
 
 class TrainAbort(RuntimeError):
@@ -294,6 +300,24 @@ def evaluate(cfg: SwinConfig, params: dict, records, aug_cfg: AugConfig | None =
 # -------------------------------------------------------------- checkpoints
 
 
+@contextlib.contextmanager
+def replace_atomically(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file beside `path` for writing, and rename it over
+    `path` once the block ends: a failed or interrupted write leaves the
+    previous file whole and no temporary file. Every artifact swinqa
+    writes goes through here, so no file is ever rewritten in place while
+    a load_checkpoint mapping of it is live."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 @dataclass
 class Checkpoint:
     config: SwinConfig
@@ -325,9 +349,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     UTF-8 JSON header, then the payload: the weights, optimizer m and v, and
     best-snapshot groups, each one block of little-endian float32 in
     param_layout order, at the offsets in the header's tensor directory.
+    The header ends in spaces up to a multiple of PAYLOAD_ALIGN bytes.
     Each weight is written from its own tensor, with no staging copy of
-    the group. The file is written under a temporary name and renamed over
-    `path`."""
+    the group. The file is written through replace_atomically."""
     cfg = ckpt.config
     if (ckpt.best_params is None) != (ckpt.best_epoch is None):
         raise ValueError("best_params and best_epoch must be set together")
@@ -359,29 +383,30 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
                    "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps},
               "tensors": _directory(cfg, ["", *groups])}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    # write beside the target, then rename over it: an interrupted or failed
-    # write leaves the previous checkpoint whole
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
-            f.write(blob)
-            for name, _ in layout:
-                f.write(np.ascontiguousarray(ckpt.params[name].data, dtype="<f4"))
-            for flat in groups.values():
-                f.write(np.ascontiguousarray(flat, dtype="<f4"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    blob += b" " * (-(len(MAGIC) + 8 + len(blob)) % PAYLOAD_ALIGN)  # JSON allows it
+    with replace_atomically(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
+        f.write(blob)
+        for name, _ in layout:
+            f.write(np.ascontiguousarray(ckpt.params[name].data, dtype="<f4"))
+        for flat in groups.values():
+            f.write(np.ascontiguousarray(flat, dtype="<f4"))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a save_checkpoint file; a truncated or inconsistent one (a
     best_epoch without its history row, say), one with bytes after its
     payload, or one holding a NaN or infinite value, raises ValueError
-    naming `path`."""
+    naming `path`. The payload arrays are a private copy-on-write mapping
+    of the file: a page is read in when first touched, and the arrays are
+    writable, but no write reaches the file. So the file must not be
+    truncated or rewritten in place while they are in use; swinqa's own
+    writers replace a file by renaming a new one over it."""
+    return _load_checkpoint(path)[0]
+
+
+def _load_checkpoint(path: str) -> tuple[Checkpoint, np.ndarray]:
+    """load_checkpoint's checkpoint, and the flat weights row its params view."""
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
@@ -391,7 +416,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: {e}") from e
 
 
-def _read_checkpoint(f) -> Checkpoint:
+def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
     fixed = f.read(12)
     if fixed[:4] != MAGIC:
         raise ValueError(f"bad magic {fixed[:4]!r}")
@@ -415,36 +440,59 @@ def _read_checkpoint(f) -> Checkpoint:
         prefixes += ["optim.m.", "optim.v."]
     if header["best_epoch"] is not None:
         prefixes.append("best.")
-    payload = np.empty((len(prefixes), count_params(cfg)), dtype="<f4")
     if header["tensors"] != _directory(cfg, prefixes):
         raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
-    if f.readinto(payload) < payload.nbytes:
-        raise ValueError(f"truncated payload: expected {payload.nbytes} bytes")
-    if f.read(1):
-        raise ValueError(f"trailing bytes after the {payload.nbytes}-byte payload")
-    flat = payload.reshape(-1)
-    if not math.isfinite(flat @ flat):  # NaN/inf, or a finite overflow
+    shape = (len(prefixes), count_params(cfg))
+    start, nbytes = 12 + size, 4 * shape[0] * shape[1]
+    have = os.fstat(f.fileno()).st_size - start
+    if have < nbytes:
+        raise ValueError(f"truncated payload: expected {nbytes} bytes")
+    if have > nbytes:
+        raise ValueError(f"trailing bytes after the {nbytes}-byte payload")
+    mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+    payload = np.frombuffer(mapped, dtype="<f4", count=shape[0] * shape[1],
+                            offset=start).reshape(shape)
+    if _holds_non_finite(f, start, payload.size):  # read the mapping only now
         for prefix, row in zip(prefixes, payload):
             for name, view in param_views(cfg, row).items():
                 bad = view[~np.isfinite(view)]
                 if bad.size:
                     raise ValueError(f"{prefix.rstrip('.') or 'weights'} group: tensor "
                                      f"{name} holds a non-finite value ({bad[0]})")
+    if not payload.flags.aligned:  # an unpadded header, from before PAYLOAD_ALIGN
+        payload = payload.copy()
     rows = iter(payload)
-    params = param_tensors(cfg, next(rows))
+    weights = next(rows)
     optim = None
     if header["optim"] is not None:
         o = header["optim"]
         optim = OptimState(m=next(rows), v=next(rows), t=o["t"], beta1=o["beta1"],
                            beta2=o["beta2"], eps=o["eps"])
-    return Checkpoint(config=cfg, params=params, optim=optim,
+    ckpt = Checkpoint(config=cfg, params=param_tensors(cfg, weights), optim=optim,
                       epoch=header["epoch"], rng_state=header["rng_state"],
                       history=header["history"], best_params=next(rows, None),
                       best_epoch=header["best_epoch"])
+    return ckpt, weights
+
+
+def _holds_non_finite(f, start: int, count: int) -> bool:
+    """Whether the `count` float32 values at byte `start` of `f` hold a NaN
+    or an infinity: read through one reused buffer, so that no page of a
+    mapping of the file becomes resident."""
+    buf = np.empty(min(count, _SCAN_CHUNK), dtype="<f4")
+    f.seek(start)
+    for lo in range(0, count, len(buf)):
+        chunk = buf[:min(len(buf), count - lo)]
+        if f.readinto(chunk) < chunk.nbytes:
+            raise ValueError(f"truncated payload: expected {4 * count} bytes")
+        # the dot product is finite unless a value is not, or it overflows
+        if not math.isfinite(chunk @ chunk) and not np.isfinite(chunk).all():
+            return True
+    return False
 
 
 def write_history_csv(path: str, history) -> None:
-    with open(path, "w", newline="") as f:
+    with replace_atomically(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(HISTORY_COLUMNS)
         for row in history:
@@ -471,14 +519,15 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
 
     end_epoch = cfg.epochs if cfg.stop_epoch is None else cfg.stop_epoch
     if cfg.checkpoint_in:
-        ckpt = load_checkpoint(cfg.checkpoint_in)
+        ckpt, weights = _load_checkpoint(cfg.checkpoint_in)
         if ckpt.config != scfg:
             raise ValueError("checkpoint config does not match the train config")
         if end_epoch < ckpt.epoch:
             raise ValueError(f"run ends at epoch {end_epoch}, before the checkpoint's "
                              f"epoch {ckpt.epoch}")
-        weights = np.concatenate([p.data.reshape(-1) for p in ckpt.params.values()],
-                                 dtype=default_dtype())
+        # float32 trains the loaded row, and the moments, in place: each page of
+        # the private mapping is copied once, when first written
+        weights = weights.astype(default_dtype(), copy=False)
         optim = ckpt.optim
         start_epoch = ckpt.epoch
         history = list(ckpt.history)

@@ -18,7 +18,7 @@ from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
 from swinqa.swin import init_params, param_views, preset
-from swinqa.train import Checkpoint, TrainConfig, save_checkpoint
+from swinqa.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 from test_acceptance import RECIPE
 
 
@@ -473,6 +473,34 @@ def test_resume_from_cli_checkpoint(tmp_path, capsys):
     history = open(os.path.join(leg2_out, "history.csv")).read().splitlines()
     assert len(history) == 3  # both epochs present after the resumed leg
     assert history[1].startswith("1,") and history[2].startswith("2,")
+    capsys.readouterr()
+
+
+def test_resume_over_its_own_checkpoint_leaves_loaded_values(tmp_path, capsys):
+    """Resuming with checkpoint_out equal to checkpoint_in replaces the file:
+    a holder that loaded it before keeps its values, and the new file equals
+    a resume written elsewhere."""
+    manifest = synth_small(tmp_path)
+    run = str(tmp_path / "run")
+    path = os.path.join(run, "checkpoint.swq")
+    leg1 = train_config(tmp_path, manifest, epochs=2, stop_epoch=1)
+    assert main(["train", "--config", leg1, "--out", run]) == 0
+    held = load_checkpoint(path)
+    want = [p.data.copy() for p in held.params.values()] + [
+        held.optim.m.copy(), held.optim.v.copy(), held.best_params.copy()]
+    resume = train_config(tmp_path, manifest, epochs=2, checkpoint_in=path)
+    elsewhere = str(tmp_path / "elsewhere")
+    assert main(["train", "--config", resume, "--out", elsewhere]) == 0
+    assert main(["train", "--config", resume, "--out", run]) == 0
+    assert load_checkpoint(path).epoch == 2
+    assert (open(path, "rb").read()
+            == open(os.path.join(elsewhere, "checkpoint.swq"), "rb").read())
+    got = [p.data for p in held.params.values()] + [
+        held.optim.m, held.optim.v, held.best_params]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+    assert sorted(os.listdir(run)) == ["checkpoint.swq", "history.csv",
+                                       "resolved_config.json"]
     capsys.readouterr()
 
 

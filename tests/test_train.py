@@ -8,7 +8,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ import pytest
 from oracles import adamw_per_name, pair_count_auc
 from swinqa import train as train_module
 from swinqa.data import SynthSpec, synth_foreign_object
-from swinqa.swin import count_params, init_params, param_views, preset
+from swinqa.swin import (count_params, init_params, init_weights, param_tensors, param_views,
+                         preset)
 from swinqa.tensor import ShapeError, Tensor, using_dtype
 from swinqa.train import (
     BATCH_PRESETS,
@@ -285,10 +289,10 @@ def test_checkpoint_byte_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("with_optim, with_best, sha256", [
-    (True, True, "cc122d33ab8a86890791016ce769d165b054c0a11a11b0e988c77eafe5f916b6"),
-    (False, False, "7cb7a501341ba195514285e7b0a4229d2746692674a25b69e77313e01f4e9730"),
-    (True, False, "8dcccbb9bfb7a76de586a71e5f333b5e54bef983e8792a53842f63bbe8d8e740"),
-])
+    (True, True, "e4811c5f92083f9428c41395e64c51d971a3bb98f3984e9123c58a745c67ec7c"),
+    (False, False, "b99cff12157a93305131c26cab0f16cad95d92d1fc187638cd6bc9ae545473b4"),
+    (True, False, "5b3f8865ee4e4d7c01bd0fdeb68514646959ce2de21458e732eada79660d5591"),
+], ids=["optim-best", "weights", "optim"])
 def test_checkpoint_bytes_pinned(tmp_path, with_optim, with_best, sha256):
     path = tmp_path / "c.swq"
     save_checkpoint(str(path), micro_checkpoint(with_optim, with_best))
@@ -432,6 +436,104 @@ def test_train_refuses_non_finite_checkpoint_in(tmp_path):
               records(4), records(4))
 
 
+def _payload_start(path) -> int:
+    return 12 + struct.unpack("<I", open(path, "rb").read(12)[8:])[0]
+
+
+def _loaded_arrays(ckpt) -> dict:
+    arrays = {name: p.data for name, p in ckpt.params.items()}
+    if ckpt.optim is not None:
+        arrays.update({"optim.m": ckpt.optim.m, "optim.v": ckpt.optim.v})
+    if ckpt.best_params is not None:
+        arrays["best"] = ckpt.best_params
+    return arrays
+
+
+@pytest.mark.parametrize("with_optim, with_best, n_history", [
+    (True, True, 2), (False, False, 0), (True, False, 1), (False, True, 7)])
+def test_checkpoint_payload_is_aligned_and_loads_as_plain_arrays(tmp_path, with_optim,
+                                                                 with_best, n_history):
+    history = [{"epoch": e, "train_loss": 0.5, "val_acc": 50.0, "val_auc": 0.5,
+                "lr": 1e-4 * e} for e in range(1, n_history + 1)]
+    path = str(tmp_path / "a.swq")
+    save_checkpoint(path, micro_checkpoint(with_optim, with_best, history=history))
+    assert _payload_start(path) % train_module.PAYLOAD_ALIGN == 0
+    ckpt = load_checkpoint(path)
+    weights = next(iter(ckpt.params.values())).data
+    assert weights.ctypes.data % train_module.PAYLOAD_ALIGN == 0
+    for name, a in _loaded_arrays(ckpt).items():
+        assert type(a) is np.ndarray and a.dtype == np.float32, name
+        assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous, name
+
+
+def test_checkpoint_in_place_writes_never_reach_the_file(tmp_path):
+    path = str(tmp_path / "c.swq")
+    save_checkpoint(path, micro_checkpoint())
+    before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    ckpt = load_checkpoint(path)
+    want = {name: a.copy() for name, a in _loaded_arrays(ckpt).items()}
+    for a in _loaded_arrays(ckpt).values():
+        a += 1.0
+    for name, a in _loaded_arrays(ckpt).items():
+        assert not np.array_equal(a, want[name]), name  # the writes took
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == before
+    again = _loaded_arrays(load_checkpoint(path))
+    for name, a in want.items():
+        assert np.array_equal(again[name], a), name
+
+
+@pytest.mark.parametrize("pad", range(4))
+def test_checkpoint_with_unpadded_header_loads_equal_values(tmp_path, pad):
+    path = str(tmp_path / "u.swq")
+    save_checkpoint(path, micro_checkpoint())
+    want = {name: a.copy() for name, a in _loaded_arrays(load_checkpoint(path)).items()}
+    rewrite_header(path, lambda h: h["rng_state"].update(pad="x" * pad))
+    assert _payload_start(path) % train_module.PAYLOAD_ALIGN != 0
+    back = load_checkpoint(path)
+    assert back.rng_state["pad"] == "x" * pad
+    for name, a in _loaded_arrays(back).items():
+        assert type(a) is np.ndarray and a.flags.aligned, name
+        assert np.array_equal(a, want[name]), name
+
+
+# loads the checkpoint at argv[1] in a fresh interpreter and prints its
+# VmHWM in KiB before and after, and the payload's group count and bytes
+_LOAD_PEAK = """
+import sys
+from swinqa.swin import count_params
+from swinqa.train import load_checkpoint
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+before = peak()
+ckpt = load_checkpoint(sys.argv[1])
+print(before, peak(), 2 + 2 * (ckpt.optim is not None), 4 * count_params(ckpt.config))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_checkpoint_load_makes_no_group_resident(tmp_path):
+    cfg = replace(preset("micro"), embed_dim=64, heads=(2, 4, 8, 16))
+    flat = init_weights(cfg, np.random.default_rng(0))
+    moments = OptimState(m=np.full_like(flat, 0.25), v=np.full_like(flat, 0.5))
+    path = str(tmp_path / "big.swq")
+    save_checkpoint(path, Checkpoint(config=cfg, params=param_tensors(cfg, flat),
+                                     optim=moments, best_params=flat, best_epoch=1,
+                                     history=[{"epoch": 1, "val_acc": 50.0,
+                                               "val_auc": 0.5}]))
+    del flat, moments
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LOAD_PEAK, path], env=env,
+                          capture_output=True, text=True, check=True)
+    before, after, groups, group_bytes = map(int, done.stdout.split())
+    assert groups == 4 and group_bytes >= 16 << 20
+    assert (after - before) * 1024 < group_bytes
+
+
 def test_history_csv_format(tmp_path):
     path = str(tmp_path / "h.csv")
     write_history_csv(path, micro_checkpoint().history)
@@ -439,6 +541,39 @@ def test_history_csv_format(tmp_path):
     assert lines[0] == "epoch,train_loss,val_acc,val_auc,lr"
     assert lines[1] == "1,0.69,50.0,0.5,0.0001"
     assert lines[2] == "2,0.61,62.0,,9e-05"
+
+
+def test_history_csv_failed_write_keeps_previous_file(tmp_path):
+    path = str(tmp_path / "h.csv")
+    write_history_csv(path, micro_checkpoint().history)
+    before = open(path).read()
+    rows = [{"epoch": e, "train_loss": 0.5, "val_acc": 50.0, "val_auc": None, "lr": 0.0}
+            for e in range(1, 2000)] + [{"epoch": 2000}]  # fails after 1,999 rows
+    with pytest.raises(KeyError, match="train_loss"):
+        write_history_csv(path, rows)
+    assert open(path).read() == before
+    assert os.listdir(tmp_path) == ["h.csv"]
+
+
+@pytest.mark.parametrize("mode, kwargs, data", [("w", {}, "new\n"),
+                                                ("w", {"newline": ""}, "a\r\nb\n"),
+                                                ("wb", {}, b"\x00new")],
+                         ids=["text", "text-newline", "binary"])
+def test_replace_atomically_replaces_only_on_success(tmp_path, mode, kwargs, data):
+    path = str(tmp_path / "artifact")
+    open(path, "wb").write(b"old")
+    with pytest.raises(RuntimeError, match="midway"):
+        with train_module.replace_atomically(path, mode, **kwargs) as f:
+            f.write(data)
+            f.flush()
+            assert open(path, "rb").read() == b"old"
+            raise RuntimeError("midway")
+    assert open(path, "rb").read() == b"old"
+    assert os.listdir(tmp_path) == ["artifact"]
+    with train_module.replace_atomically(path, mode, **kwargs) as f:
+        f.write(data)
+    assert open(path, "rb").read() == (data if mode == "wb" else data.encode())
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 # ----------------------------------------------------------------- configs
@@ -580,6 +715,33 @@ def test_train_from_scratch_trains_the_init_buffer(monkeypatch):
     assert list(ckpt.params) == [name for name, _ in train_module.param_layout(ckpt.config)]
     for name, p in ckpt.params.items():
         assert np.shares_memory(p.data, flat), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_resumed_trains_the_loaded_row(tmp_path, monkeypatch, dtype):
+    """float32 trains the mapped weights row and moments in place; float64
+    trains a copy. Either way the checkpoint file is left as it was."""
+    path = str(tmp_path / "leg1.swq")
+    with using_dtype(dtype):
+        train(micro_train_cfg(stop_epoch=1, checkpoint_out=path), records(4), records(4))
+    before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    loaded = []
+    load = train_module._load_checkpoint
+
+    def captured(p):
+        loaded.append(load(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(train_module, "_load_checkpoint", captured)
+    with using_dtype(dtype):
+        ckpt = train(micro_train_cfg(checkpoint_in=path), records(4), records(4))
+    ((start, row),) = loaded
+    in_place = dtype == "float32"
+    for name, p in ckpt.params.items():
+        assert np.shares_memory(p.data, row) == in_place, name
+    assert ckpt.optim.m is start.optim.m and ckpt.optim.v is start.optim.v
+    assert ckpt.epoch == 2 and ckpt.optim.t == 2
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == before
 
 
 @pytest.mark.parametrize("over", [dict(epochs=3, stop_epoch=1), dict(epochs=1)],

@@ -16,8 +16,11 @@ fresh interpreter that runs `make_benchmark` at criterion 8's spec, and
 one that writes 300 `lvot` images at 224x224. Last, the weights
 footprint: the peak RSS of a fresh interpreter that runs `init_params`
 for `tiny` at 224x224 in the default float32, next to its parameter
-bytes (`count_params` x 4). Two trees are compared by running the script
-on each.
+bytes (`count_params` x 4), and the checkpoint footprint: the peak RSS of
+a fresh interpreter that loads a `tiny` checkpoint holding all four
+groups (weights, AdamW m and v, best weights) and runs one no-grad
+forward at batch 1 with the best weights, as `swinqa eval` scores. Two
+trees are compared by running the script on each.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -128,6 +132,34 @@ print(json.dumps([peak, swin.count_params(cfg)]))
 """
 
 
+# a `tiny` checkpoint with all four groups at `path`; one buffer stands in
+# for each group, so that writing it needs the memory of one
+CKPT_WRITE = """
+import numpy as np
+from swinqa import swin, train
+cfg = swin.preset("tiny", img_size=224)
+flat = swin.init_weights(cfg, np.random.default_rng(0))
+train.save_checkpoint({path!r}, train.Checkpoint(
+    config=cfg, params=swin.param_tensors(cfg, flat), optim=train.OptimState(m=flat, v=flat),
+    best_params=flat, best_epoch=1, history=[{{"epoch": 1, "val_acc": 50.0, "val_auc": 0.5}}]))
+print(0)
+"""
+
+# load that checkpoint, then one no-grad forward at batch 1 with its best
+# weights: the peak and the file size
+CKPT_EVAL = """
+import json, os
+import numpy as np
+from swinqa import swin, tensor, train
+ckpt = train.load_checkpoint({path!r})
+x = np.random.default_rng(1).random((1, 224, 224, 3))
+with tensor.no_grad():
+    swin.forward(x, ckpt.config, swin.param_tensors(ckpt.config, ckpt.best_params))
+""" + PEAK + """
+print(json.dumps([peak, os.path.getsize({path!r})]))
+"""
+
+
 def fresh_run(src: Path, code: str):
     """The JSON that `code` prints, run by a fresh interpreter that
     imports swinqa from `src`."""
@@ -172,6 +204,12 @@ def main(argv) -> int:
     peak, n = fresh_run(src, INIT)
     print(f"init_params tiny 224x224: peak RSS {peak:.1f} MB, "
           f"parameters {n:,} x 4 bytes = {n * 4 / 2**20:.1f} MB")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "tiny.swq")
+        fresh_run(src, CKPT_WRITE.format(path=path))
+        peak, size = fresh_run(src, CKPT_EVAL.format(path=path))
+    print(f"tiny checkpoint, 4 groups ({size / 2**20:.1f} MB), load and a b1 forward "
+          f"with the best weights: peak RSS {peak:.1f} MB")
     return 0
 
 
