@@ -449,9 +449,8 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
         raise ValueError(f"truncated payload: expected {nbytes} bytes")
     if have > nbytes:
         raise ValueError(f"trailing bytes after the {nbytes}-byte payload")
-    mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
-    payload = np.frombuffer(mapped, dtype="<f4", count=shape[0] * shape[1],
-                            offset=start).reshape(shape)
+    payload = np.frombuffer(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY),
+                            dtype="<f4", count=nbytes // 4, offset=start).reshape(shape)
     if _holds_non_finite(f, start, payload.size):  # read the mapping only now
         for prefix, row in zip(prefixes, payload):
             for name, view in param_views(cfg, row).items():
