@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
 import csv
 import errno
 import functools
@@ -624,10 +625,8 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
             while ahead:
                 yield ahead.popleft().result()
 
-    parent, name = os.path.split(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    _remove_dead_staging(parent, name)
-    staging = os.path.join(parent, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.staging")
+    os.makedirs(os.path.dirname(os.path.abspath(out_dir)), exist_ok=True)
+    staging = staging_path(out_dir)
     os.mkdir(staging)
     try:
         os.mkdir(os.path.join(staging, "images"))
@@ -647,25 +646,33 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
         write_batch()
         with open(os.path.join(staging, "manifest.csv"), "w", newline="") as f:
             csv.writer(f, lineterminator="\n").writerows(rows)
-        _replace_dir(staging, os.path.join(parent, name))
+        _replace_dir(staging, os.path.abspath(out_dir))
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
     return os.path.join(out_dir, "manifest.csv")
 
 
-def _remove_dead_staging(parent: str, name: str) -> None:
-    """Remove the staging directories of `name` in `parent` whose writer,
-    the pid in the name, no longer runs (a killed synthesis). A pid that
-    cannot be probed, such as another user's, counts as live."""
-    dead = re.compile(re.escape(f".{name}.") + r"(\d{1,9})\.[0-9a-f]{12}\.staging")
-    for match in filter(None, map(dead.fullmatch, os.listdir(parent))):
+def staging_path(target: str) -> str:
+    """A fresh name beside `target` to stage its next version under, with
+    the writer's pid in it. First it removes the files and directories
+    staged for `target` by a pid that no longer runs (a killed write); a
+    pid that cannot be probed, such as another user's, counts as live."""
+    parent, name = os.path.split(os.path.abspath(target))
+    staged = re.compile(re.escape(f".{name}.") + r"(\d{1,9})\.[0-9a-f]{12}\.staging")
+    for match in filter(None, map(staged.fullmatch, os.listdir(parent))):
         try:
             os.kill(int(match[1]), 0)
         except ProcessLookupError:
-            shutil.rmtree(os.path.join(parent, match[0]), ignore_errors=True)
+            path = os.path.join(parent, match[0])
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                with contextlib.suppress(FileNotFoundError):  # another sweep got there first
+                    os.remove(path)
         except PermissionError:
             pass
+    return os.path.join(parent, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.staging")
 
 
 def _replace_dir(src: str, dst: str) -> None:

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .augment import AugConfig, prepare_batch
+from .data import staging_path
 from .swin import (SwinConfig, count_params, forward, init_params, init_weights, param_layout,
                    param_tensors, param_views, preset)
 from .tensor import (
@@ -88,20 +89,12 @@ class TrainConfig:
         if self.mode not in MODE_DEFAULTS:
             raise ValueError(f"mode must be one of {sorted(MODE_DEFAULTS)}, "
                              f"got {self.mode!r}")
-        defaults = MODE_DEFAULTS[self.mode]
-        if self.base_lr is None:
-            self.base_lr = defaults["base_lr"]
-        if self.epochs is None:
-            self.epochs = defaults["epochs"]
-        if self.warmup_epochs is None:
-            self.warmup_epochs = defaults["warmup_epochs"]
         scfg = self.swin_config()  # validates model/img_size/window combination
-        if self.batch_size is None or self.grad_accum_steps is None:
-            b, a = BATCH_PRESETS.get(scfg.window, (16, 2))
-            if self.batch_size is None:
-                self.batch_size = b
-            if self.grad_accum_steps is None:
-                self.grad_accum_steps = a
+        batch, accum = BATCH_PRESETS.get(scfg.window, (16, 2))
+        defaults = {**MODE_DEFAULTS[self.mode], "batch_size": batch, "grad_accum_steps": accum}
+        for key, value in defaults.items():  # each None field takes its default
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         if self.base_lr < 0 or self.weight_decay < 0:
             raise ValueError("base_lr and weight_decay must be >= 0")
         if self.epochs < 1 or not 0 <= self.warmup_epochs < self.epochs:
@@ -302,12 +295,12 @@ def evaluate(cfg: SwinConfig, params: dict, records, aug_cfg: AugConfig | None =
 
 @contextlib.contextmanager
 def replace_atomically(path: str, mode: str = "w", **kwargs):
-    """Open a temporary file beside `path` for writing, and rename it over
-    `path` once the block ends: a failed or interrupted write leaves the
-    previous file whole and no temporary file. Every artifact swinqa
-    writes goes through here, so no file is ever rewritten in place while
-    a load_checkpoint mapping of it is live."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """Open a file staged beside `path` (data.staging_path) for writing, and
+    rename it over `path` once the block ends: a failed write leaves the
+    previous file whole and no staged file. Every file swinqa writes goes
+    through here, so no file is ever rewritten in place while a
+    load_checkpoint mapping of it is live."""
+    tmp = staging_path(path)
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
@@ -506,10 +499,19 @@ def _rng_for(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng([seed, *key])
 
 
+# train()'s rng_state scheme: each stream keyed by (seed, purpose, epoch, batch)
+RNG_SCHEME = "keyed-streams"
+
+
+def _rank(row: dict) -> tuple:
+    """Best-snapshot order of history rows: val AUC (None lowest), then val accuracy."""
+    return (row["val_auc"] if row["val_auc"] is not None else -1.0, row["val_acc"])
+
+
 def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
-    """Run the configured recipe; returns (and optionally writes) the final
-    checkpoint, whose best.* snapshot holds the weights of the epoch with
-    the highest (val AUC, val accuracy)."""
+    """Run the configured recipe, advancing the loaded checkpoint or an
+    epoch-0 one over init_weights; returns (and optionally writes) it. Its
+    best.* snapshot holds the weights of the epoch of highest _rank."""
     scfg = cfg.swin_config()
     train_records = list(train_records)
     val_records = list(val_records)
@@ -521,34 +523,29 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
         ckpt, weights = _load_checkpoint(cfg.checkpoint_in)
         if ckpt.config != scfg:
             raise ValueError("checkpoint config does not match the train config")
+        drawn = ckpt.rng_state or {"scheme": RNG_SCHEME, "seed": cfg.seed}
+        if (drawn.get("scheme"), drawn.get("seed")) != (RNG_SCHEME, cfg.seed):
+            raise ValueError(f"checkpoint was drawn with seed {drawn.get('seed')!r} "
+                             f"(scheme {drawn.get('scheme')!r}), not this run's seed "
+                             f"{cfg.seed} (scheme {RNG_SCHEME!r})")
         if end_epoch < ckpt.epoch:
             raise ValueError(f"run ends at epoch {end_epoch}, before the checkpoint's "
                              f"epoch {ckpt.epoch}")
         # float32 trains the loaded row, and the moments, in place: each page of
         # the private mapping is copied once, when first written
         weights = weights.astype(default_dtype(), copy=False)
-        optim = ckpt.optim
-        start_epoch = ckpt.epoch
-        history = list(ckpt.history)
-        best_epoch = ckpt.best_epoch
-        best_params = ckpt.best_params
-        best_key = None
-        if best_epoch is not None:
-            row = next(r for r in history if r["epoch"] == best_epoch)
-            best_key = (row["val_auc"] if row["val_auc"] is not None else -1.0,
-                        row["val_acc"])
     else:
+        ckpt = Checkpoint(config=scfg, params={})
         weights = init_weights(scfg, _rng_for(cfg.seed, 0))  # trained in place
-        start_epoch = 0
-        history = []
-        optim, best_epoch, best_params, best_key = None, None, None, None
     # backward() accumulates into the flat gradient buffer through each .grad view
-    params = param_tensors(scfg, weights)
+    ckpt.params = param_tensors(scfg, weights)
     grad = np.zeros_like(weights)
     for name, view in param_views(scfg, grad).items():
-        params[name].grad = view
-    if optim is None:
-        optim = init_optim_state(weights)
+        ckpt.params[name].grad = view
+    if ckpt.optim is None:
+        ckpt.optim = init_optim_state(weights)
+    best = None if ckpt.best_epoch is None else next(
+        r for r in ckpt.history if r["epoch"] == ckpt.best_epoch)
 
     n = len(train_records)
     batches_per_epoch = math.ceil(n / cfg.batch_size)
@@ -556,75 +553,66 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
 
-    for epoch in range(start_epoch, end_epoch):
+    for epoch in range(ckpt.epoch, end_epoch):
         order = _rng_for(cfg.seed, 1, epoch).permutation(n)
-        acc_count = 0
-        step_in_epoch = 0
         loss_sum = 0.0
-        last_lr = 0.0
-        for b in range(batches_per_epoch):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            images = [train_records[i].image for i in idx]
-            ys = [train_records[i].label for i in idx]
-            if cfg.augment:
-                x, soft = prepare_batch(images, ys, cfg.aug, "train", scfg.img_size,
-                                        rng=_rng_for(cfg.seed, 2, epoch, b),
-                                        num_classes=scfg.num_classes)
-            else:
-                x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
-                                        num_classes=scfg.num_classes)
-            logits = forward(x, scfg, params, training=True,
-                             rng=_rng_for(cfg.seed, 3, epoch, b))
-            loss = cross_entropy_soft(logits, Tensor(soft))
-            loss_val = float(loss.data)
-            step = epoch * steps_per_epoch + step_in_epoch
+        for s in range(steps_per_epoch):
+            step = epoch * steps_per_epoch + s
             lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
-            if not math.isfinite(loss_val):
-                raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
-                                 f"step {step}, lr {lr:.6g}")
-            backward(loss)  # adds into the flat grad buffer
-            # one graph at a time: drop this step's as soon as its backward
-            # has run. The package's heap policy (swinqa.set_heap_policy)
-            # keeps glibc from trimming the freed pages, so the next step
-            # reuses them without faulting them back in
-            logits = loss = None
-            acc_count += 1
-            loss_sum += loss_val * len(idx)
-            if acc_count == cfg.grad_accum_steps or b == batches_per_epoch - 1:
-                if acc_count > 1:  # dividing by 1 is exact: skip the pass
-                    grad /= acc_count
-                if not math.isfinite(grad @ grad):  # NaN/inf, or a finite overflow
-                    bad = next((name for name, view in param_views(scfg, grad).items()
-                                if not np.isfinite(view).all()), None)
-                    if bad is not None:
-                        raise TrainAbort(f"non-finite gradient in {bad} at epoch "
-                                         f"{epoch + 1}, step {step}, lr {lr:.6g}")
-                adamw_step(weights, grad, optim, lr, cfg.weight_decay)
-                grad[...] = 0.0
-                acc_count = 0
-                step_in_epoch += 1
-                last_lr = lr
+            batches = range(s * cfg.grad_accum_steps,
+                            min((s + 1) * cfg.grad_accum_steps, batches_per_epoch))
+            for b in batches:
+                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                images = [train_records[i].image for i in idx]
+                ys = [train_records[i].label for i in idx]
+                if cfg.augment:
+                    x, soft = prepare_batch(images, ys, cfg.aug, "train", scfg.img_size,
+                                            rng=_rng_for(cfg.seed, 2, epoch, b),
+                                            num_classes=scfg.num_classes)
+                else:
+                    x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
+                                            num_classes=scfg.num_classes)
+                logits = forward(x, scfg, ckpt.params, training=True,
+                                 rng=_rng_for(cfg.seed, 3, epoch, b))
+                loss = cross_entropy_soft(logits, Tensor(soft))
+                loss_val = float(loss.data)
+                if not math.isfinite(loss_val):
+                    raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
+                                     f"step {step}, lr {lr:.6g}")
+                backward(loss)  # adds into the flat grad buffer
+                # one graph at a time: drop this step's as soon as its backward
+                # has run. The package's heap policy (swinqa.set_heap_policy)
+                # keeps glibc from trimming the freed pages, so the next step
+                # reuses them without faulting them back in
+                logits = loss = None
+                loss_sum += loss_val * len(idx)
+            if len(batches) > 1:  # dividing by 1 is exact: skip the pass
+                grad /= len(batches)
+            if not math.isfinite(grad @ grad):  # NaN/inf, or a finite overflow
+                bad = next((name for name, view in param_views(scfg, grad).items()
+                            if not np.isfinite(view).all()), None)
+                if bad is not None:
+                    raise TrainAbort(f"non-finite gradient in {bad} at epoch "
+                                     f"{epoch + 1}, step {step}, lr {lr:.6g}")
+            adamw_step(weights, grad, ckpt.optim, lr, cfg.weight_decay)
+            grad[...] = 0.0
         del x, soft  # the last step's batch
-        report = evaluate(scfg, params, val_records, cfg.aug,
+        report = evaluate(scfg, ckpt.params, val_records, cfg.aug,
                           batch_size=cfg.eval_batch_size)
         row = {"epoch": epoch + 1, "train_loss": loss_sum / n,
-               "val_acc": report.accuracy, "val_auc": report.auc, "lr": last_lr}
-        history.append(row)
-        key = (report.auc if report.auc is not None else -1.0, report.accuracy)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_epoch = epoch + 1
-            best_params = weights.astype("<f4")
+               "val_acc": report.accuracy, "val_auc": report.auc, "lr": lr}
+        ckpt.history.append(row)
+        if best is None or _rank(row) > _rank(best):
+            best = row
+            ckpt.best_epoch = epoch + 1
+            ckpt.best_params = weights.astype("<f4")
+        ckpt.epoch = epoch + 1
         if log is not None:
             auc_s = "n/a" if report.auc is None else f"{report.auc:.4f}"
             log(f"epoch {epoch + 1}/{cfg.epochs}  loss {row['train_loss']:.4f}  "
-                f"val_acc {report.accuracy:.2f}%  val_auc {auc_s}  lr {last_lr:.3g}")
+                f"val_acc {report.accuracy:.2f}%  val_auc {auc_s}  lr {lr:.3g}")
 
-    ckpt = Checkpoint(config=scfg, params=params, optim=optim, epoch=end_epoch,
-                      rng_state={"scheme": "keyed-streams", "seed": cfg.seed,
-                                 "next_epoch": end_epoch},
-                      history=history, best_params=best_params,
-                      best_epoch=best_epoch)
+    ckpt.rng_state = {"scheme": RNG_SCHEME, "seed": cfg.seed, "next_epoch": ckpt.epoch}
     if cfg.checkpoint_out:
         save_checkpoint(cfg.checkpoint_out, ckpt)
     return ckpt

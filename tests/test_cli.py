@@ -520,6 +520,23 @@ def test_resume_ending_before_the_checkpoint_epoch_exits_1(tmp_path, capsys, ove
     assert not os.path.exists(os.path.join(out, "checkpoint.swq"))
 
 
+def test_resume_with_another_seed_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    leg1 = str(tmp_path / "leg1")
+    cfg = train_config(tmp_path, manifest, epochs=2, stop_epoch=1)
+    assert main(["train", "--config", cfg, "--seed", "5", "--out", leg1]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "t")
+    resume = train_config(tmp_path, manifest, epochs=2,
+                          checkpoint_in=os.path.join(leg1, "checkpoint.swq"))
+    assert main(["train", "--config", resume, "--seed", "6", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: checkpoint was drawn with seed 5 (scheme 'keyed-streams'), "
+                   "not this run's seed 6 (scheme 'keyed-streams')\n")
+    assert not os.path.exists(os.path.join(out, "checkpoint.swq"))
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
 # ------------------------------------------------------------------- bench
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,10 +19,11 @@ import pytest
 
 from oracles import adamw_per_name, pair_count_auc
 from swinqa import train as train_module
+from swinqa.augment import prepare_batch
 from swinqa.data import SynthSpec, synth_foreign_object
-from swinqa.swin import (count_params, init_params, init_weights, param_tensors, param_views,
-                         preset)
-from swinqa.tensor import ShapeError, Tensor, using_dtype
+from swinqa.swin import (count_params, forward, init_params, init_weights, param_tensors,
+                         param_views, preset)
+from swinqa.tensor import ShapeError, Tensor, backward, cross_entropy_soft, using_dtype
 from swinqa.train import (
     BATCH_PRESETS,
     Checkpoint,
@@ -364,13 +366,16 @@ def test_checkpoint_short_fixed_header(tmp_path):
 
 
 def rewrite_header(path, edit):
-    """Apply `edit` to the JSON header of a checkpoint file, keeping its payload."""
+    """Apply `edit` to the JSON header of a checkpoint file, keeping its
+    payload. The file is replaced by rename, not rewritten in place, so a
+    load_checkpoint mapping of the old file stays whole."""
     blob = open(path, "rb").read()
     size = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12:12 + size])
     edit(header)
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    open(path, "wb").write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + size:])
+    with train_module.replace_atomically(path, "wb") as f:
+        f.write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + size:])
 
 
 def _optim_without_moments(h):
@@ -397,14 +402,16 @@ def test_checkpoint_directory_must_match_layout(tmp_path, edit):
 
 def poison_payload(path, entries):
     """Write float32 `value` at the first element of each (directory name,
-    value) entry in a saved checkpoint's payload."""
+    value) entry in a saved checkpoint's payload, replacing the file by
+    rename as rewrite_header does."""
     blob = bytearray(open(path, "rb").read())
     size = struct.unpack("<I", blob[8:12])[0]
     tensors = json.loads(blob[12:12 + size])["tensors"]
     for name, value in entries:
         at = 12 + size + tensors[name]["offset"]
         blob[at:at + 4] = struct.pack("<f", value)
-    open(path, "wb").write(bytes(blob))
+    with train_module.replace_atomically(path, "wb") as f:
+        f.write(bytes(blob))
 
 
 @pytest.mark.parametrize("entries,want", [
@@ -576,6 +583,63 @@ def test_replace_atomically_replaces_only_on_success(tmp_path, mode, kwargs, dat
     assert os.listdir(tmp_path) == ["artifact"]
 
 
+def test_next_write_removes_only_dead_writers_staged_files(tmp_path, monkeypatch):
+    """A write to a path first removes the files staged for that path by a
+    pid that is gone. A live pid's, one that may not be signalled, another
+    path's and an entry of another form stay."""
+    probed = []
+
+    def kill(pid, sig):
+        probed.append((pid, sig))
+        if pid == 111:
+            raise ProcessLookupError(pid)
+        if pid == 222:
+            raise PermissionError(pid)
+
+    keep = [".c.swq.222.0123456789ab.staging", ".c.swq.333.0123456789ab.staging",
+            ".h.csv.111.0123456789ab.staging", "c.swq.111.tmp", ".c.swq.111.xyz.staging"]
+    for entry in keep + [".c.swq.111.0123456789ab.staging"]:
+        (tmp_path / entry).write_bytes(b"partial")
+    monkeypatch.setattr(os, "kill", kill)
+    save_checkpoint(str(tmp_path / "c.swq"), micro_checkpoint())
+    assert sorted(os.listdir(tmp_path)) == sorted(keep + ["c.swq"])
+    assert sorted(probed) == [(111, 0), (222, 0), (333, 0)]
+
+
+# stages bytes for argv[1] through replace_atomically, says so, and waits
+_STAGING_WRITER = """
+import sys, time
+from swinqa.train import replace_atomically
+with replace_atomically(sys.argv[1], "wb") as f:
+    f.write(b"partial")
+    f.flush()
+    print("staged", flush=True)
+    time.sleep(120)
+"""
+
+
+def test_killed_writers_staged_file_goes_with_the_next_write(tmp_path):
+    path = str(tmp_path / "c.swq")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _STAGING_WRITER, path], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "staged\n"
+        (staged,) = os.listdir(tmp_path)
+        assert staged.startswith(f".c.swq.{proc.pid}.") and staged.endswith(".staging")
+        proc.kill()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert os.listdir(tmp_path) == [staged]  # the killed writer left it
+    save_checkpoint(path, micro_checkpoint())
+    assert os.listdir(tmp_path) == ["c.swq"]
+
+
 # ----------------------------------------------------------------- configs
 
 
@@ -663,6 +727,35 @@ def test_train_accumulation_equivalence():
         diff = np.abs(split.params[name].data - fused.params[name].data).max()
         assert diff < 1e-6, f"{name}: {diff}"
     assert split.optim.t == fused.optim.t == 2
+
+
+def test_train_short_last_step_divides_by_its_own_batch_count(monkeypatch):
+    """6 records at batch 2 with grad_accum_steps 4 make one optimizer step
+    of 3 batches. The gradient adamw_step receives is then the mean over 3
+    batches: the gradient of one batch of all 6 records at the init weights.
+    Final weights would not show a wrong divisor, since Adam is nearly
+    invariant to the gradient's scale."""
+    recs = records(6)
+    cfg = micro_train_cfg(epochs=1, warmup_epochs=0, batch_size=2, grad_accum_steps=4)
+    scfg = cfg.swin_config()
+    grads = []
+    step = train_module.adamw_step
+
+    def spy(param, grad, state, lr, wd):
+        grads.append(grad.copy())
+        step(param, grad, state, lr, wd)
+
+    monkeypatch.setattr(train_module, "adamw_step", spy)
+    with using_dtype("float64"):
+        train(cfg, recs, recs[:2])
+        params = param_tensors(scfg, init_weights(scfg, np.random.default_rng([cfg.seed, 0])))
+        x, soft = prepare_batch([r.image for r in recs], [r.label for r in recs], cfg.aug,
+                                "eval", scfg.img_size, num_classes=scfg.num_classes)
+        backward(cross_entropy_soft(forward(x, scfg, params, training=True), Tensor(soft)))
+    (got,) = grads
+    want = np.concatenate([p.grad.ravel() for p in params.values()])
+    assert got.dtype == want.dtype == np.float64
+    assert np.abs(got - want).max() < 1e-9
 
 
 def test_train_is_deterministic_and_resumable(tmp_path):
@@ -754,6 +847,30 @@ def test_train_refuses_to_end_before_the_checkpoint_epoch(tmp_path, over):
     with pytest.raises(ValueError, match=r"run ends at epoch 1, before the checkpoint's epoch 2"):
         train(cfg, records(4), records(4))
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("rng_state, drawn", [
+    ({"scheme": "keyed-streams", "seed": 6, "next_epoch": 2}, "seed 6 (scheme 'keyed-streams')"),
+    ({"scheme": "global-stream", "seed": 5, "next_epoch": 2}, "seed 5 (scheme 'global-stream')"),
+], ids=["seed", "scheme"])
+def test_train_refuses_a_checkpoint_drawn_another_way(tmp_path, rng_state, drawn):
+    path, out = str(tmp_path / "in.swq"), str(tmp_path / "out.swq")
+    save_checkpoint(path, replace(micro_checkpoint(), rng_state=rng_state))
+    cfg = micro_train_cfg(epochs=3, warmup_epochs=0, drop_path_max=None,
+                          checkpoint_in=path, checkpoint_out=out)
+    want = f"checkpoint was drawn with {drawn}, not this run's seed 5 (scheme 'keyed-streams')"
+    with pytest.raises(ValueError, match=re.escape(want) + "$"):
+        train(cfg, records(4), records(4))
+    assert not os.path.exists(out)
+
+
+def test_train_resumes_a_checkpoint_without_rng_state(tmp_path):
+    path = str(tmp_path / "in.swq")
+    save_checkpoint(path, replace(micro_checkpoint(), rng_state=None))
+    ckpt = train(micro_train_cfg(epochs=3, warmup_epochs=0, drop_path_max=None,
+                                 checkpoint_in=path), records(4), records(4))
+    assert ckpt.epoch == 3 and [r["epoch"] for r in ckpt.history] == [1, 2, 3]
+    assert ckpt.rng_state == {"scheme": "keyed-streams", "seed": 5, "next_epoch": 3}
 
 
 def _train_with_gradient_edit(monkeypatch, edit):
