@@ -92,7 +92,7 @@ class TrainConfig:
         scfg = self.swin_config()  # validates model/img_size/window combination
         batch, accum = BATCH_PRESETS.get(scfg.window, (16, 2))
         defaults = {**MODE_DEFAULTS[self.mode], "batch_size": batch, "grad_accum_steps": accum}
-        for key, value in defaults.items():  # each None field takes its default
+        for key, value in defaults.items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
         if self.base_lr < 0 or self.weight_decay < 0:
@@ -428,6 +428,8 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
             isinstance(r, dict) and r.get("epoch") == best and {"val_acc", "val_auc"} <= r.keys()
             for r in header["history"]):
         raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
+    if not isinstance(header["rng_state"], (dict, type(None))):
+        raise ValueError(f"rng_state {header['rng_state']!r} is neither an object nor null")
     prefixes = [""]
     if header["optim"] is not None:
         prefixes += ["optim.m.", "optim.v."]

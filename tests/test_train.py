@@ -864,6 +864,17 @@ def test_train_refuses_a_checkpoint_drawn_another_way(tmp_path, rng_state, drawn
     assert not os.path.exists(out)
 
 
+def test_checkpoint_rng_state_must_be_an_object_or_null(tmp_path):
+    path = str(tmp_path / "r.swq")
+    save_checkpoint(path, micro_checkpoint())
+    rewrite_header(path, lambda h: h.update(rng_state=[5]))
+    with pytest.raises(ValueError, match=r"r\.swq: rng_state \[5\] is neither an object nor null"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError, match="rng_state"):
+        train(micro_train_cfg(epochs=3, warmup_epochs=0, drop_path_max=None,
+                              checkpoint_in=path), records(4), records(4))
+
+
 def test_train_resumes_a_checkpoint_without_rng_state(tmp_path):
     path = str(tmp_path / "in.swq")
     save_checkpoint(path, replace(micro_checkpoint(), rng_state=None))
