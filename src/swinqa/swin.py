@@ -823,7 +823,8 @@ def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=No
     dtype, which the stem's one copy casts) -> [num_classes] logits; a
     leading batch axis maps through. Blocks within a stage alternate
     unshifted/shifted starting unshifted; shift is skipped where one window
-    covers the grid."""
+    covers the grid. `image` is dropped once the stem has copied it: on
+    CPython >= 3.11 a batch the caller kept no reference to is freed then."""
     single = image.ndim == 3
     pixels = (cfg.img_size, cfg.img_size, cfg.in_channels)
     if image.ndim not in (3, 4) or image.shape[-3:] != pixels:
@@ -832,6 +833,7 @@ def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=No
         raise ValueError("training forward with stochastic depth needs an rng")
 
     fm = patch_partition(image, cfg.patch_size)
+    del image
     fm = linear_embed(fm, params["patch_embed.weight"], params["patch_embed.bias"])
     fm = FeatureMap(fm.height, fm.width, fm.dim,
                     layer_norm(fm.values, params["patch_embed.norm.gamma"],

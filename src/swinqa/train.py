@@ -265,12 +265,13 @@ def evaluate(cfg: SwinConfig, params: dict, records, aug_cfg: AugConfig | None =
         chunk = records[start:start + batch_size]
         images = [r.image for r in chunk]
         ys = [r.label for r in chunk]
-        x, soft = prepare_batch(images, ys, aug_cfg, "eval", cfg.img_size)
+        # x.pop() leaves forward the batch's only reference: the stem frees it
+        *x, soft = prepare_batch(images, ys, aug_cfg, "eval", cfg.img_size)
         with no_grad():
-            logits = forward(x, cfg, params)
+            logits = forward(x.pop(), cfg, params)
             loss = cross_entropy_soft(logits, Tensor(soft))
             probs = softmax(logits).data
-        del x, soft, logits  # before the next chunk's batch is built
+        del soft, logits  # before the next chunk's batch is built
         loss_sum += float(loss.data) * len(chunk)
         for k in range(len(chunk)):
             scores.append(float(probs[k, 1]))
@@ -388,13 +389,14 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a save_checkpoint file; a truncated or inconsistent one (a
-    best_epoch without its history row, say), one with bytes after its
-    payload, or one holding a NaN or infinite value, raises ValueError
-    naming `path`. The payload arrays are a private copy-on-write mapping
-    of the file: a page is read in when first touched, and the arrays are
-    writable, but no write reaches the file. So the file must not be
-    truncated or rewritten in place while they are in use; swinqa's own
-    writers replace a file by renaming a new one over it."""
+    best_epoch without its history row, or a row without an integer epoch,
+    say), one with bytes after its payload, or one holding a NaN or
+    infinite value, raises ValueError naming `path`. The payload arrays
+    are a private copy-on-write mapping of the file: a page is read in when
+    first touched, and the arrays are writable, but no write reaches the
+    file. So the file must not be truncated or rewritten in place while
+    they are in use; swinqa's own writers replace a file by renaming a new
+    one over it."""
     return _load_checkpoint(path)[0]
 
 
@@ -423,10 +425,13 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
         raise ValueError(f"truncated header: {len(blob)} of {size} bytes")
     header = json.loads(blob.decode())
     cfg = SwinConfig(**header["config"])
+    history = header["history"]
+    if not isinstance(history, list) or not all(
+            isinstance(r, dict) and type(r.get("epoch")) is int for r in history):
+        raise ValueError("history is not a list of objects, each with an integer epoch")
     best = header["best_epoch"]
     if best is not None and not any(
-            isinstance(r, dict) and r.get("epoch") == best and {"val_acc", "val_auc"} <= r.keys()
-            for r in header["history"]):
+            r["epoch"] == best and {"val_acc", "val_auc"} <= r.keys() for r in history):
         raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
     if not isinstance(header["rng_state"], (dict, type(None))):
         raise ValueError(f"rng_state {header['rng_state']!r} is neither an object nor null")
@@ -464,7 +469,7 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
                            beta2=o["beta2"], eps=o["eps"])
     ckpt = Checkpoint(config=cfg, params=param_tensors(cfg, weights), optim=optim,
                       epoch=header["epoch"], rng_state=header["rng_state"],
-                      history=header["history"], best_params=next(rows, None),
+                      history=history, best_params=next(rows, None),
                       best_epoch=header["best_epoch"])
     return ckpt, weights
 
@@ -568,13 +573,14 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                 images = [train_records[i].image for i in idx]
                 ys = [train_records[i].label for i in idx]
                 if cfg.augment:
-                    x, soft = prepare_batch(images, ys, cfg.aug, "train", scfg.img_size,
-                                            rng=_rng_for(cfg.seed, 2, epoch, b),
-                                            num_classes=scfg.num_classes)
+                    *x, soft = prepare_batch(images, ys, cfg.aug, "train", scfg.img_size,
+                                             rng=_rng_for(cfg.seed, 2, epoch, b),
+                                             num_classes=scfg.num_classes)
                 else:
-                    x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
-                                            num_classes=scfg.num_classes)
-                logits = forward(x, scfg, ckpt.params, training=True,
+                    *x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
+                                             num_classes=scfg.num_classes)
+                # as in evaluate, the stem frees the batch
+                logits = forward(x.pop(), scfg, ckpt.params, training=True,
                                  rng=_rng_for(cfg.seed, 3, epoch, b))
                 loss = cross_entropy_soft(logits, Tensor(soft))
                 loss_val = float(loss.data)
@@ -598,7 +604,6 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                                      f"{epoch + 1}, step {step}, lr {lr:.6g}")
             adamw_step(weights, grad, ckpt.optim, lr, cfg.weight_decay)
             grad[...] = 0.0
-        del x, soft  # the last step's batch
         report = evaluate(scfg, ckpt.params, val_records, cfg.aug,
                           batch_size=cfg.eval_batch_size)
         row = {"epoch": epoch + 1, "train_loss": loss_sum / n,

@@ -461,6 +461,24 @@ def test_resume_from_checkpoint_without_best_row_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_resume_from_checkpoint_with_a_non_object_history_row_exits_1(tmp_path, capsys):
+    manifest = synth_small(tmp_path)
+    scfg = preset("micro")
+    params = init_params(scfg, np.random.default_rng(0))
+    path = str(tmp_path / "rows.swq")
+    best = np.concatenate([p.data.ravel() for p in params.values()]).astype("<f4")
+    row = {"epoch": 1, "train_loss": 0.6, "val_acc": 50.0, "val_auc": 0.5, "lr": 1e-4}
+    save_checkpoint(path, Checkpoint(config=scfg, params=params, epoch=1, history=[7, row],
+                                     best_params=best, best_epoch=1))
+    out = tmp_path / "t"
+    cfg = train_config(tmp_path, manifest, epochs=2, checkpoint_in=path)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: history is not a list of objects, "
+                   f"each with an integer epoch\n")
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
 def test_resume_from_cli_checkpoint(tmp_path, capsys):
     manifest = synth_small(tmp_path)
     leg1_out = str(tmp_path / "leg1")

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from oracles import adamw_per_name, pair_count_auc
+from swinqa import swin as swin_module
 from swinqa import train as train_module
 from swinqa.augment import prepare_batch
 from swinqa.data import SynthSpec, synth_foreign_object
@@ -355,6 +356,27 @@ def test_checkpoint_best_epoch_needs_its_history_row(tmp_path, history):
     path = str(tmp_path / "orphan.swq")
     save_checkpoint(path, micro_checkpoint(history=history))
     with pytest.raises(ValueError, match="orphan.swq: best_epoch 1 names no history row"):
+        load_checkpoint(path)
+
+
+ROW_1 = {"epoch": 1, "train_loss": 0.6, "val_acc": 62.0, "val_auc": 0.7, "lr": 1e-4}
+
+
+@pytest.mark.parametrize("history", [
+    [7, ROW_1],
+    [ROW_1, {"train_loss": 0.6, "val_acc": 62.0, "val_auc": 0.7, "lr": 1e-4}],
+    [ROW_1, {**ROW_1, "epoch": "2"}],
+    [ROW_1, {**ROW_1, "epoch": 2.0}],
+    [ROW_1, {**ROW_1, "epoch": True}],
+    {"1": ROW_1},
+], ids=["int-row", "no-epoch", "str-epoch", "float-epoch", "bool-epoch", "not-a-list"])
+def test_checkpoint_history_rows_must_be_objects_with_an_integer_epoch(tmp_path, history):
+    """A resumed run reads every row's epoch (the best row's lookup, then
+    history.csv), so the loader refuses a row it could not read."""
+    path = str(tmp_path / "rows.swq")
+    save_checkpoint(path, micro_checkpoint(history=history))
+    with pytest.raises(ValueError, match="rows.swq: history is not a list of objects, "
+                                         "each with an integer epoch"):
         load_checkpoint(path)
 
 
@@ -973,6 +995,36 @@ def test_train_drops_each_step_graph_before_the_next_forward(monkeypatch):
     assert names.count("eval prepare_batch") == 2 * 3
     assert names.count("evaluate") == 2
     assert seen == [(name, 0, 0) for name in names]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a call's arguments stay on the caller's "
+                           "stack until it returns, so the batch outlives the stem")
+def test_batch_is_unreachable_once_the_stem_has_read_it(monkeypatch):
+    # one training step (a train-mode batch), then evaluate over one chunk;
+    # with gc off, only reference counts can free the batch
+    seen, batches = [], []
+    prepare, embed = train_module.prepare_batch, swin_module.linear_embed
+
+    def tracked_prepare(images, labels, cfg, mode, *args, **kwargs):
+        x, soft = prepare(images, labels, cfg, mode, *args, **kwargs)
+        batches.append((mode, weakref.ref(x)))
+        return x, soft
+
+    def checked_embed(*args, **kwargs):
+        mode, batch = batches[-1]
+        seen.append((mode, batch() is None))
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "prepare_batch", tracked_prepare)
+    monkeypatch.setattr(swin_module, "linear_embed", checked_embed)
+    gc.disable()
+    try:
+        train(micro_train_cfg(epochs=1, warmup_epochs=0, augment=True, eval_batch_size=4),
+              records(4), records(4))
+    finally:
+        gc.enable()
+    assert seen == [("train", True), ("eval", True)]
 
 
 def test_train_rejects_empty_splits():

@@ -19,8 +19,11 @@ for `tiny` at 224x224 in the default float32, next to its parameter
 bytes (`count_params` x 4), and the checkpoint footprint: the peak RSS of
 a fresh interpreter that loads a `tiny` checkpoint holding all four
 groups (weights, AdamW m and v, best weights) and runs one no-grad
-forward at batch 1 with the best weights, as `swinqa eval` scores. Two
-trees are compared by running the script on each.
+forward at batch 1 with the best weights, as `swinqa eval` scores; and
+the screening footprint: how far one no-grad `evaluate` of `micro` at
+batch 64 on 64 gray uint8 images, as `screen-micro-b64` scores, raises
+the peak RSS of a fresh interpreter that holds the weights and images.
+Two trees are compared by running the script on each.
 """
 from __future__ import annotations
 
@@ -160,6 +163,27 @@ print(json.dumps([peak, os.path.getsize({path!r})]))
 """
 
 
+# one no-grad `evaluate` of `micro` on 64 gray uint8 images in one batch:
+# the peak before it, and the rise it adds
+EVAL = """
+import json
+import numpy as np
+from swinqa import data, swin, train
+cfg = swin.preset("micro")
+params = swin.init_params(cfg, np.random.default_rng(0))
+rng = np.random.default_rng(1)
+shape = (cfg.img_size, cfg.img_size)
+records = [data.SampleRecord(source=str(i), label=i % 2,
+                             image=rng.integers(0, 256, shape, dtype=np.uint8))
+           for i in range(64)]
+""" + PEAK + """
+before = peak
+train.evaluate(cfg, params, records, batch_size=64)
+""" + PEAK + """
+print(json.dumps([before, peak - before]))
+"""
+
+
 def fresh_run(src: Path, code: str):
     """The JSON that `code` prints, run by a fresh interpreter that
     imports swinqa from `src`."""
@@ -210,6 +234,9 @@ def main(argv) -> int:
         peak, size = fresh_run(src, CKPT_EVAL.format(path=path))
     print(f"tiny checkpoint, 4 groups ({size / 2**20:.1f} MB), load and a b1 forward "
           f"with the best weights: peak RSS {peak:.1f} MB")
+    before, rise = fresh_run(src, EVAL)
+    print(f"micro evaluate, 64 gray uint8 images in one batch: peak RSS +{rise:.1f} MB "
+          f"over {before:.1f} MB")
     return 0
 
 
