@@ -371,8 +371,8 @@ ROW_1 = {"epoch": 1, "train_loss": 0.6, "val_acc": 62.0, "val_auc": 0.7, "lr": 1
     {"1": ROW_1},
 ], ids=["int-row", "no-epoch", "str-epoch", "float-epoch", "bool-epoch", "not-a-list"])
 def test_checkpoint_history_rows_must_be_objects_with_an_integer_epoch(tmp_path, history):
-    """A resumed run reads every row's epoch (the best row's lookup, then
-    history.csv), so the loader refuses a row it could not read."""
+    """A resumed run finds its best row by each row's epoch, so the loader
+    refuses a history it could not search."""
     path = str(tmp_path / "rows.swq")
     save_checkpoint(path, micro_checkpoint(history=history))
     with pytest.raises(ValueError, match="rows.swq: history is not a list of objects, "
