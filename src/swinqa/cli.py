@@ -15,7 +15,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import sys
 import typing
@@ -27,6 +26,7 @@ from .train import (
     TrainAbort,
     TrainConfig,
     evaluate,
+    fits,
     load_checkpoint,
     replace_atomically,
     throughput,
@@ -101,19 +101,6 @@ def _kind(where: str, default):
     return type(default)
 
 
-def _fits(value, kind, default) -> bool:
-    if typing.get_args(kind):  # X | None
-        return any(_fits(value, k, default) for k in typing.get_args(kind))
-    if isinstance(value, bool) or kind is bool:  # to Python a bool is an int
-        return isinstance(value, bool) and kind is bool
-    if kind is float:  # JSON's NaN and Infinity parse as floats
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    if kind is tuple:  # a JSON list shaped like the default
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(_fits(v, type(d), d) for v, d in zip(value, default)))
-    return isinstance(value, kind)
-
-
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -126,7 +113,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             out[key] = _merge(base[key], value, where)
             continue
         kind = _kind(where, base[key])
-        if not _fits(value, kind, base[key]):
+        if not fits(value, kind, base[key]):
             want = f"a list like {base[key]}" if kind is tuple else getattr(kind, "__name__", kind)
             raise ConfigError(f"{where!r} must be {want}, got {value!r}")
         out[key] = value

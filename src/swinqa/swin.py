@@ -75,8 +75,8 @@ class SwinConfig:
 
     img_size: int
     embed_dim: int
-    depths: tuple
-    heads: tuple
+    depths: tuple[int, ...]
+    heads: tuple[int, ...]
     window: int
     drop_path_max: float = 0.0
     mlp_ratio: float = 4.0

@@ -17,6 +17,7 @@ import mmap
 import os
 import struct
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
@@ -45,7 +46,9 @@ MODE_DEFAULTS = {
 # window 8 pairs with the high-resolution task, window 7 with the 224 one
 BATCH_PRESETS = {8: (16, 8), 7: (64, 2)}
 
-HISTORY_COLUMNS = ("epoch", "train_loss", "val_acc", "val_auc", "lr")
+# history.csv's columns, and the type of each in a checkpoint's history rows
+HISTORY_COLUMNS = {"epoch": int, "train_loss": float, "val_acc": float, "val_auc": float | None,
+                   "lr": float}
 
 MAGIC = b"SWQK"
 FORMAT_VERSION = 1
@@ -388,15 +391,14 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a save_checkpoint file; a truncated or inconsistent one (a
-    best_epoch without its history row, or a row without an integer epoch,
-    say), one with bytes after its payload, or one holding a NaN or
-    infinite value, raises ValueError naming `path`. The payload arrays
-    are a private copy-on-write mapping of the file: a page is read in when
-    first touched, and the arrays are writable, but no write reaches the
-    file. So the file must not be truncated or rewritten in place while
-    they are in use; swinqa's own writers replace a file by renaming a new
-    one over it."""
+    """Read a save_checkpoint file; one whose header _check_header refuses
+    (a key missing, unknown or of a wrong JSON type, say), a truncated one,
+    one with bytes after its payload or one holding a NaN or infinite value
+    raises ValueError naming `path`. The payload arrays are a private
+    copy-on-write mapping of the file: a page is read in when first touched,
+    and the arrays are writable, but no write reaches the file. So the file
+    must not be truncated or rewritten in place while they are in use;
+    swinqa's own writers replace a file by renaming a new one over it."""
     return _load_checkpoint(path)[0]
 
 
@@ -405,8 +407,6 @@ def _load_checkpoint(path: str) -> tuple[Checkpoint, np.ndarray]:
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{path}: malformed header: {type(e).__name__} {e}") from e
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
 
@@ -424,24 +424,7 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
     if len(blob) < size:
         raise ValueError(f"truncated header: {len(blob)} of {size} bytes")
     header = json.loads(blob.decode())
-    cfg = SwinConfig(**header["config"])
-    history = header["history"]
-    if not isinstance(history, list) or not all(
-            isinstance(r, dict) and type(r.get("epoch")) is int for r in history):
-        raise ValueError("history is not a list of objects, each with an integer epoch")
-    best = header["best_epoch"]
-    if best is not None and not any(
-            r["epoch"] == best and {"val_acc", "val_auc"} <= r.keys() for r in history):
-        raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
-    if not isinstance(header["rng_state"], (dict, type(None))):
-        raise ValueError(f"rng_state {header['rng_state']!r} is neither an object nor null")
-    prefixes = [""]
-    if header["optim"] is not None:
-        prefixes += ["optim.m.", "optim.v."]
-    if header["best_epoch"] is not None:
-        prefixes.append("best.")
-    if header["tensors"] != _directory(cfg, prefixes):
-        raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
+    cfg, prefixes = _check_header(header)
     shape = (len(prefixes), count_params(cfg))
     start, nbytes = 12 + size, 4 * shape[0] * shape[1]
     have = os.fstat(f.fileno()).st_size - start
@@ -462,16 +445,85 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
         payload = payload.copy()
     rows = iter(payload)
     weights = next(rows)
-    optim = None
-    if header["optim"] is not None:
-        o = header["optim"]
-        optim = OptimState(m=next(rows), v=next(rows), t=o["t"], beta1=o["beta1"],
-                           beta2=o["beta2"], eps=o["eps"])
+    optim = None if header["optim"] is None else OptimState(
+        m=next(rows), v=next(rows), **header["optim"])
     ckpt = Checkpoint(config=cfg, params=param_tensors(cfg, weights), optim=optim,
                       epoch=header["epoch"], rng_state=header["rng_state"],
-                      history=history, best_params=next(rows, None),
+                      history=header["history"], best_params=next(rows, None),
                       best_epoch=header["best_epoch"])
     return ckpt, weights
+
+
+def fits(value, kind, like=None) -> bool:
+    """Whether a JSON value is of type `kind`: X | None takes either, a bool
+    is not an int, a float must be finite, tuple[X, ...] is a list of X, and
+    a bare tuple is a list shaped like the list `like`."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(fits(value, k, like) for k in args)
+    if isinstance(value, bool) or kind is bool:  # to Python a bool is an int
+        return isinstance(value, bool) and kind is bool
+    if kind is float:  # JSON's NaN and Infinity parse as floats
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is tuple:
+        return (isinstance(value, list) and len(value) == len(like)
+                and all(fits(v, type(d), d) for v, d in zip(value, like)))
+    return isinstance(value, kind)
+
+
+_HEADER = {"format_version": int, "config": dict, "epoch": int, "best_epoch": int | None,
+           "rng_state": dict | None, "history": list, "optim": dict | None, "tensors": dict}
+_OPTIM = {k: typing.get_type_hints(OptimState)[k] for k in ("t", "beta1", "beta2", "eps")}
+
+
+def _check_fields(where: str, obj: dict, kinds: dict) -> None:
+    odd = [k for k in kinds if k not in obj] + sorted(obj.keys() - kinds.keys())
+    if odd:
+        raise ValueError(f"header {where}{odd[0]} is "
+                         f"{'missing' if odd[0] in kinds else 'unknown'}")
+    for key, kind in kinds.items():
+        if not fits(obj[key], kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ValueError(f"header {where}{key} must be {name}, got {obj[key]!r}")
+
+
+def _check_header(header) -> tuple[SwinConfig, list]:
+    """The one place that decides what a checkpoint header holds: the keys
+    and types of _HEADER, of SwinConfig's fields in config, of _OPTIM in
+    optim and of HISTORY_COLUMNS in each history row, and the rules between
+    them. Returns the config and the name prefixes of the payload's groups."""
+    if not isinstance(header, dict):
+        raise ValueError("header is not an object")
+    history = header.get("history")
+    if not isinstance(history, list) or not all(
+            isinstance(r, dict) and type(r.get("epoch")) is int for r in history):
+        raise ValueError("history is not a list of objects, each with an integer epoch")
+    if not isinstance(header.get("rng_state"), (dict, type(None))):
+        raise ValueError(f"rng_state {header['rng_state']!r} is neither an object nor null")
+    _check_fields("", header, _HEADER)
+    best = header["best_epoch"]
+    for key, ok in (("format_version", header["format_version"] == FORMAT_VERSION),
+                    ("epoch", header["epoch"] >= 0), ("best_epoch", best is None or best >= 1)):
+        if not ok:
+            raise ValueError(f"header {key} {header[key]} is out of range")
+    if best is not None and not any(
+            r["epoch"] == best and {"val_acc", "val_auc"} <= r.keys() for r in history):
+        raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
+    for i, row in enumerate(history):
+        _check_fields(f"history[{i}].", row, HISTORY_COLUMNS)
+    _check_fields("config.", header["config"], typing.get_type_hints(SwinConfig))
+    cfg = SwinConfig(**header["config"])
+    prefixes = [""]
+    if header["optim"] is not None:
+        _check_fields("optim.", header["optim"], _OPTIM)
+        prefixes += ["optim.m.", "optim.v."]
+    if best is not None:
+        prefixes.append("best.")
+    if header["tensors"] != _directory(cfg, prefixes):
+        raise ValueError(f"tensor directory does not match the config and groups {prefixes}")
+    return cfg, prefixes
 
 
 def _holds_non_finite(f, start: int, count: int) -> bool:

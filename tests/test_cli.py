@@ -18,8 +18,10 @@ from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
 from swinqa.swin import init_params, param_views, preset
-from swinqa.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from swinqa.train import (Checkpoint, TrainConfig, init_optim_state, load_checkpoint,
+                          save_checkpoint)
 from test_acceptance import RECIPE
+from test_train import rewrite_header
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -461,21 +463,44 @@ def test_resume_from_checkpoint_without_best_row_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_resume_from_checkpoint_with_a_non_object_history_row_exits_1(tmp_path, capsys):
+def _set_row(**values):
+    return lambda h: h["history"][0].update(values)
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda h: h["history"].insert(0, 7),
+     "history is not a list of objects, each with an integer epoch"),
+    (lambda h: h["optim"].update(t="1"), "header optim.t must be int, got '1'"),
+    (lambda h: h["optim"].update(beta1="0.9"), "header optim.beta1 must be float, got '0.9'"),
+    (lambda h: h.update(epoch="1"), "header epoch must be int, got '1'"),
+    (lambda h: h.update(epoch=1.0), "header epoch must be int, got 1.0"),
+    (_set_row(val_auc="x"), "header history[0].val_auc must be float | None, got 'x'"),
+    (lambda h: h.update(history=[{"epoch": 1, "val_acc": 50.0, "val_auc": 0.5}]),
+     "header history[0].train_loss is missing"),
+    (lambda h: h.update(best_epoch=True), "header best_epoch must be int | None, got True"),
+    (_set_row(val_acc="50"), "header history[0].val_acc must be float, got '50'"),
+    (lambda h: h.update(epoch=-1), "header epoch -1 is out of range"),
+], ids=["non-object-row", "str-t", "str-beta1", "str-epoch", "float-epoch", "str-val_auc",
+        "short-row", "bool-best_epoch", "str-val_acc", "negative-epoch"])
+def test_resume_from_checkpoint_with_a_non_object_history_row_exits_1(tmp_path, capsys, edit,
+                                                                      want):
+    """A resume from a checkpoint whose header breaks the schema exits 1 with
+    one error line naming the file, before it trains or writes anything."""
     manifest = synth_small(tmp_path)
     scfg = preset("micro")
     params = init_params(scfg, np.random.default_rng(0))
     path = str(tmp_path / "rows.swq")
     best = np.concatenate([p.data.ravel() for p in params.values()]).astype("<f4")
     row = {"epoch": 1, "train_loss": 0.6, "val_acc": 50.0, "val_auc": 0.5, "lr": 1e-4}
-    save_checkpoint(path, Checkpoint(config=scfg, params=params, epoch=1, history=[7, row],
-                                     best_params=best, best_epoch=1))
+    save_checkpoint(path, Checkpoint(config=scfg, params=params, epoch=1, history=[row],
+                                     optim=init_optim_state(best), best_params=best,
+                                     best_epoch=1))
+    rewrite_header(path, edit)
     out = tmp_path / "t"
     cfg = train_config(tmp_path, manifest, epochs=2, checkpoint_in=path)
     assert main(["train", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {path}: history is not a list of objects, "
-                   f"each with an integer epoch\n")
+    assert err == f"error: {path}: {want}\n"
     assert os.listdir(out) == ["resolved_config.json"]
 
 

@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from swinqa import swin as swin_module
 from swinqa import train as train_module
 from swinqa.augment import prepare_batch
 from swinqa.data import SynthSpec, synth_foreign_object
-from swinqa.swin import (count_params, forward, init_params, init_weights, param_tensors,
-                         param_views, preset)
+from swinqa.swin import (SwinConfig, count_params, forward, init_params, init_weights,
+                         param_tensors, param_views, preset)
 from swinqa.tensor import ShapeError, Tensor, backward, cross_entropy_soft, using_dtype
 from swinqa.train import (
     BATCH_PRESETS,
@@ -422,6 +422,80 @@ def test_checkpoint_directory_must_match_layout(tmp_path, edit):
         load_checkpoint(path)
 
 
+# wrong JSON values for each type a header key may have: a string, a bool,
+# a float for an int, and null where null is not allowed
+_WRONG = {"int": ["1", True, 1.0, None], "int|null": ["1", True, 1.0],
+          "number": ["1", True, None], "number|null": ["1", True],
+          "ints": ["2", True, None, [2.0]], "list": ["x", True, None, {}],
+          "object": ["x", True, None, [1]], "object|null": ["x", True, [1]]}
+# every key of a micro_checkpoint header, by its path from the top, and its type;
+# the history keys are those of row 1, whose epoch (2) is not the best
+_HEADER_KEYS = {
+    ("format_version",): "int", ("config",): "object", ("epoch",): "int",
+    ("best_epoch",): "int|null", ("rng_state",): "object|null", ("history",): "list",
+    ("optim",): "object|null", ("tensors",): "object",
+    **{("config", f.name): "ints" if f.name in ("depths", "heads") else
+       "number" if f.name in ("drop_path_max", "mlp_ratio") else "int"
+       for f in fields(SwinConfig)},
+    ("optim", "t"): "int", ("optim", "beta1"): "number", ("optim", "beta2"): "number",
+    ("optim", "eps"): "number",
+    **{("history", 1, column): "int" if column == "epoch" else
+       "number|null" if column == "val_auc" else "number"
+       for column in ("epoch", "train_loss", "val_acc", "val_auc", "lr")},
+}
+_MISSING = object()
+
+
+def _header_edits():
+    for where, kind in _HEADER_KEYS.items():
+        name = ".".join(map(str, where))
+        yield pytest.param(where, _MISSING, id=f"{name}-missing")
+        for value in _WRONG[kind]:
+            yield pytest.param(where, value, id=f"{name}={json.dumps(value)}")
+
+
+@pytest.mark.parametrize("where, value", list(_header_edits()))
+def test_checkpoint_header_key_missing_or_of_a_wrong_type(tmp_path, where, value):
+    """A header with any one key missing, or of a wrong JSON type, raises a
+    ValueError naming the file and the key, never a KeyError or TypeError."""
+    path = str(tmp_path / "h.swq")
+    save_checkpoint(path, micro_checkpoint())
+
+    def edit(header):
+        *parents, key = where
+        for parent in parents:
+            header = header[parent]
+        if value is _MISSING:
+            del header[key]
+        else:
+            header[key] = value
+
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError) as caught:
+        load_checkpoint(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ")
+    for key in (k for k in where if isinstance(k, str)):  # a row index need not be named
+        assert key in message.removeprefix(f"{path}: "), message
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda h: h.update(format_version=2), "header format_version 2 is out of range"),
+    (lambda h: h.update(epoch=-1), "header epoch -1 is out of range"),
+    (lambda h: h.update(best_epoch=0), "header best_epoch 0 is out of range"),
+    (lambda h: h.update(extra=1), "header extra is unknown"),
+    (lambda h: h["config"].update(extra=1), "header config.extra is unknown"),
+    (lambda h: h["optim"].update(m=[]), "header optim.m is unknown"),
+    (lambda h: h["history"][1].update(note="x"), "header history[1].note is unknown"),
+], ids=["format_version", "epoch", "best_epoch", "top", "config", "optim", "history-row"])
+def test_checkpoint_header_value_out_of_range_or_unknown_key(tmp_path, edit, want):
+    path = str(tmp_path / "h.swq")
+    save_checkpoint(path, micro_checkpoint())
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {want}") + "$"):
+        load_checkpoint(path)
+
+
 def poison_payload(path, entries):
     """Write float32 `value` at the first element of each (directory name,
     value) entry in a saved checkpoint's payload, replacing the file by
@@ -550,8 +624,8 @@ def test_checkpoint_load_makes_no_group_resident(tmp_path):
     path = str(tmp_path / "big.swq")
     save_checkpoint(path, Checkpoint(config=cfg, params=param_tensors(cfg, flat),
                                      optim=moments, best_params=flat, best_epoch=1,
-                                     history=[{"epoch": 1, "val_acc": 50.0,
-                                               "val_auc": 0.5}]))
+                                     history=[{"epoch": 1, "train_loss": 0.69, "val_acc": 50.0,
+                                               "val_auc": 0.5, "lr": 1e-4}]))
     del flat, moments
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"),

@@ -144,7 +144,8 @@ cfg = swin.preset("tiny", img_size=224)
 flat = swin.init_weights(cfg, np.random.default_rng(0))
 train.save_checkpoint({path!r}, train.Checkpoint(
     config=cfg, params=swin.param_tensors(cfg, flat), optim=train.OptimState(m=flat, v=flat),
-    best_params=flat, best_epoch=1, history=[{{"epoch": 1, "val_acc": 50.0, "val_auc": 0.5}}]))
+    best_params=flat, best_epoch=1,
+    history=[{{"epoch": 1, "train_loss": 0.69, "val_acc": 50.0, "val_auc": 0.5, "lr": 1e-4}}]))
 print(0)
 """
 
