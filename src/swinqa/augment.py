@@ -39,11 +39,11 @@ class AugConfig:
     cutmix_alpha: float = 1.0
     mix_switch_prob: float = 0.5
     erase_prob: float = 0.25
-    erase_scale: tuple = (0.02, 0.33)
-    erase_aspect: tuple = (0.3, 3.3)
+    erase_scale: tuple[float, float] = (0.02, 0.33)
+    erase_aspect: tuple[float, float] = (0.3, 3.3)
     jitter_strength: float = 0.4
-    normalize_mean: tuple = IMAGENET_MEAN
-    normalize_std: tuple = IMAGENET_STD
+    normalize_mean: tuple[float, float, float] = IMAGENET_MEAN
+    normalize_std: tuple[float, float, float] = IMAGENET_STD
 
     def __post_init__(self):
         for name in ("mix_switch_prob", "erase_prob"):

@@ -113,8 +113,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             out[key] = _merge(base[key], value, where)
             continue
         kind = _kind(where, base[key])
-        if not fits(value, kind, base[key]):
-            want = f"a list like {base[key]}" if kind is tuple else getattr(kind, "__name__", kind)
+        if not fits(value, kind):
+            want = kind.__name__ if isinstance(kind, type) else kind
             raise ConfigError(f"{where!r} must be {want}, got {value!r}")
         out[key] = value
     return out
@@ -142,13 +142,17 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def write_resolved_config(cfg: dict, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "resolved_config.json")
+def _write_json(path: str, obj) -> str:
+    """Write `obj` to `path` as indented JSON with sorted keys; returns `path`."""
     with replace_atomically(path) as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
+
+
+def write_resolved_config(cfg: dict, out_dir: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return _write_json(os.path.join(out_dir, "resolved_config.json"), cfg)
 
 
 def _build(cfg: dict, name: str, **cli_set):
@@ -165,14 +169,6 @@ def _synth_spec(cfg: dict) -> SynthSpec:
 def _train_config(cfg: dict) -> TrainConfig:
     return _build(cfg, "train", seed=cfg["seed"], aug=_build(cfg, "aug"),
                   checkpoint_out=os.path.join(cfg["out"], "checkpoint.swq"))
-
-
-def _split_records(manifest_path: str):
-    records = load_manifest(manifest_path)
-    by_split = {s: [] for s in SPLITS}
-    for r in records:
-        by_split[r.split].append(r)
-    return by_split
 
 
 # ---------------------------------------------------------------- commands
@@ -194,9 +190,10 @@ def cmd_train(cfg: dict) -> int:
     manifest = cfg["train"]["manifest"]
     if not manifest:
         raise ConfigError("train.manifest is required (run synth first)")
-    by_split = _split_records(manifest)
+    records = load_manifest(manifest, ("train", "val"))
     tcfg = _train_config(cfg)
-    ckpt = train(tcfg, by_split["train"], by_split["val"], log=print)
+    ckpt = train(tcfg, [r for r in records if r.split == "train"],
+                 [r for r in records if r.split == "val"], log=print)
     history_path = os.path.join(cfg["out"], "history.csv")
     write_history_csv(history_path, ckpt.history)
     print(f"checkpoint: {tcfg.checkpoint_out}")
@@ -216,7 +213,7 @@ def cmd_eval(cfg: dict) -> int:
     if e["split"] not in SPLITS:
         raise ConfigError(f"eval.split must be one of {SPLITS}, got {e['split']!r}")
     ckpt = load_checkpoint(e["checkpoint"])
-    records = _split_records(e["manifest"])[e["split"]]
+    records = load_manifest(e["manifest"], (e["split"],))
     params = ckpt.params
     used = "final"
     if e["use_best"] and ckpt.best_params is not None:
@@ -224,13 +221,10 @@ def cmd_eval(cfg: dict) -> int:
         used = f"best (epoch {ckpt.best_epoch})"
     report = evaluate(ckpt.config, params, records, _build(cfg, "aug"),
                       batch_size=e["batch_size"])
-    report_path = os.path.join(cfg["out"], "eval_report.json")
-    with replace_atomically(report_path) as f:
-        json.dump({"accuracy": report.accuracy, "auc": report.auc,
-                   "mean_loss": report.mean_loss, "confusion": report.confusion,
-                   "n_samples": len(report.samples), "split": e["split"],
-                   "weights": used}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    report_path = _write_json(os.path.join(cfg["out"], "eval_report.json"), {
+        "accuracy": report.accuracy, "auc": report.auc, "mean_loss": report.mean_loss,
+        "confusion": report.confusion, "n_samples": len(report.samples),
+        "split": e["split"], "weights": used})
     csv_path = os.path.join(cfg["out"], "per_sample.csv")
     with replace_atomically(csv_path, "w", newline="") as f:
         f.write("index,score,label,entropy\n")
@@ -258,9 +252,7 @@ def cmd_inspect(cfg: dict) -> int:
         print(f"checkpoint: {cfg['inspect']['checkpoint']}  "
               f"params {count_params(ckpt.config):,d}  "
               f"epochs {ckpt.epoch}  best_epoch {ckpt.best_epoch}")
-    with replace_atomically(os.path.join(cfg["out"], "inspect.json")) as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(cfg["out"], "inspect.json"), rows)
     return 0
 
 
@@ -273,9 +265,7 @@ def cmd_bench(cfg: dict) -> int:
           f"{report.images_per_sec:.2f} img/s "
           f"(median {report.median_s * 1e3:.1f} ms, "
           f"IQR {report.iqr_s * 1e3:.1f} ms, n={report.n_timed})")
-    with replace_atomically(os.path.join(cfg["out"], "bench.json")) as f:
-        json.dump(dataclasses.asdict(report), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(cfg["out"], "bench.json"), dataclasses.asdict(report))
     return 0
 
 

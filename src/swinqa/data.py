@@ -45,8 +45,8 @@ class SampleRecord:
 class SynthSpec:
     task: str = "foreign_object"
     size: int = 64
-    object_count: tuple = (1, 4)
-    object_radius: tuple = (4, 9)
+    object_count: tuple[int, int] = (1, 4)
+    object_radius: tuple[int, int] = (4, 9)
     background_blobs: int = 6
     noise_sigma: float = 0.04
     blur: bool = False
@@ -527,11 +527,13 @@ def read_image(path: str) -> np.ndarray:
     return pixels01(_read_pixels(path))
 
 
-def load_manifest(path: str) -> list:
-    """CSV manifest (header: path,label,split) with images loaded eagerly,
-    each kept as the uint8 pixels of its file (pixels01 gives the floats).
-    Paths are relative to the manifest's directory. Errors name the
-    offending data row (header is row 1)."""
+def load_manifest(path: str, splits=SPLITS) -> list:
+    """The records of a CSV manifest (header: path,label,split) whose split
+    is in `splits`, in file order, each holding the uint8 pixels of its file
+    (pixels01 gives the floats). Every row is checked, and its file must
+    exist, but only those records' files are read. Paths are relative to
+    the manifest's directory. Errors name the offending data row (header
+    is row 1)."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path, newline="") as f:
@@ -552,8 +554,9 @@ def load_manifest(path: str) -> list:
             img_path = os.path.join(base, rel)
             if not os.path.exists(img_path):
                 raise ValueError(f"manifest row {i}: missing file {rel}")
-            records.append(SampleRecord(source=rel, label=int(label_s), split=split,
-                                        image=_read_pixels(img_path)))
+            if split in splits:
+                records.append(SampleRecord(source=rel, label=int(label_s), split=split,
+                                            image=_read_pixels(img_path)))
     return records
 
 

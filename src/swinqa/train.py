@@ -407,7 +407,7 @@ def _load_checkpoint(path: str) -> tuple[Checkpoint, np.ndarray]:
     with open(path, "rb") as f:
         try:
             return _read_checkpoint(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # json.loads of a deeply nested header
             raise ValueError(f"{path}: {e}") from e
 
 
@@ -454,22 +454,22 @@ def _read_checkpoint(f) -> tuple[Checkpoint, np.ndarray]:
     return ckpt, weights
 
 
-def fits(value, kind, like=None) -> bool:
+def fits(value, kind) -> bool:
     """Whether a JSON value is of type `kind`: X | None takes either, a bool
     is not an int, a float must be finite, tuple[X, ...] is a list of X, and
-    a bare tuple is a list shaped like the list `like`."""
+    tuple[X, Y] a list of an X and a Y."""
     args = typing.get_args(kind)
     if typing.get_origin(kind) is tuple:
-        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+        if not isinstance(value, list):
+            return False
+        kinds = args[:1] * len(value) if args[1:] == (...,) else args
+        return len(value) == len(kinds) and all(map(fits, value, kinds))
     if args:  # X | None
-        return any(fits(value, k, like) for k in args)
+        return any(fits(value, k) for k in args)
     if isinstance(value, bool) or kind is bool:  # to Python a bool is an int
         return isinstance(value, bool) and kind is bool
     if kind is float:  # JSON's NaN and Infinity parse as floats
         return isinstance(value, (int, float)) and math.isfinite(value)
-    if kind is tuple:
-        return (isinstance(value, list) and len(value) == len(like)
-                and all(fits(v, type(d), d) for v, d in zip(value, like)))
     return isinstance(value, kind)
 
 
@@ -513,6 +513,9 @@ def _check_header(header) -> tuple[SwinConfig, list]:
         raise ValueError(f"best_epoch {best} names no history row with val_acc and val_auc")
     for i, row in enumerate(history):
         _check_fields(f"history[{i}].", row, HISTORY_COLUMNS)
+        if not (history[i - 1]["epoch"] if i else 0) < row["epoch"] <= header["epoch"]:
+            raise ValueError(f"header history[{i}].epoch {row['epoch']} is out of order "
+                             f"or after epoch {header['epoch']}")
     _check_fields("config.", header["config"], typing.get_type_hints(SwinConfig))
     cfg = SwinConfig(**header["config"])
     prefixes = [""]

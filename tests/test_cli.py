@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from swinqa import cli
+from swinqa import data as data_module
 from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
@@ -167,6 +168,9 @@ def small_run(tmp_path_factory):
     ("inspect", {"inspect": {"checkpoint": ["w.swq"]}}, "inspect.checkpoint"),
     ("eval", {"eval": {"split": "foo"}}, "eval.split"),
     ("eval", {"eval": {"batch_size": 0}}, "batch_size"),
+    ("synth", {"synth": {"object_count": [1]}}, "synth.object_count"),  # wrong-length tuples
+    ("train", {"aug": {"normalize_mean": [0.5, 0.5]}}, "aug.normalize_mean"),
+    ("train", {"aug": {"erase_aspect": [0.3, 3.3, 1.0]}}, "aug.erase_aspect"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections, key):
     manifest, ckpt = small_run
@@ -179,6 +183,18 @@ def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
     assert "Traceback" not in err
     assert not (out / "checkpoint.swq").exists()
+
+
+@pytest.mark.parametrize("sections, want", [
+    ({"synth": {"object_count": [1]}}, "'synth.object_count' must be tuple[int, int], got [1]"),
+    ({"aug": {"normalize_std": [1, 1, "1"]}},
+     "'aug.normalize_std' must be tuple[float, float, float], got [1, 1, '1']"),
+    ({"train": {"img_size": "64"}}, "'train.img_size' must be int | None, got '64'"),
+    ({"bench": {"n_timed": 1.5}}, "'bench.n_timed' must be int, got 1.5"),
+], ids=["pair", "triple", "optional", "int"])
+def test_bad_config_value_names_its_annotation(tmp_path, sections, want):
+    with pytest.raises(cli.ConfigError, match=re.escape(want) + "$"):
+        load_run_config(write_config(tmp_path, **sections))
 
 
 def test_bad_config_file(tmp_path, capsys):
@@ -352,6 +368,63 @@ def test_eval_missing_manifest_file_exits_1(tmp_path, capsys):
     error_line(capsys, missing)
 
 
+def _spy_reads(monkeypatch) -> list:
+    """The paths data._read_pixels is called with from now on."""
+    read, real = [], data_module._read_pixels
+    monkeypatch.setattr(data_module, "_read_pixels", lambda path: read.append(path) or real(path))
+    return read
+
+
+def _split_files(manifest) -> dict:
+    """{split: sorted image paths} of a manifest, as load_manifest joins them."""
+    base = os.path.dirname(os.path.abspath(manifest))
+    rows = [line.split(",") for line in open(manifest).read().splitlines()[1:]]
+    return {split: sorted(os.path.join(base, rel) for rel, _, s in rows if s == split)
+            for split in ("train", "val", "test")}
+
+
+@pytest.mark.parametrize("command, splits", [("eval", ("test",)), ("train", ("train", "val"))])
+def test_commands_read_only_the_splits_they_use(tmp_path, capsys, monkeypatch, small_run,
+                                                command, splits):
+    manifest, ckpt = small_run
+    args = {"eval": ["--checkpoint", ckpt, "--split", "test"],
+            "train": ["--config", train_config(tmp_path, manifest), "--epochs", "1"]}[command]
+    read = _spy_reads(monkeypatch)
+    assert main([command, "--manifest", manifest, "--out", str(tmp_path / "o"), *args]) == 0
+    files = _split_files(manifest)
+    assert sorted(read) == sorted(p for s in splits for p in files[s])
+    capsys.readouterr()
+
+
+def test_eval_checks_every_row_but_reads_only_its_split(tmp_path, capsys, small_run):
+    """A train image that is corrupt does not fail `eval --split test`, which
+    never reads it; one that is gone still does, as every row is checked."""
+    manifest = synth_small(tmp_path)
+    train_file = _split_files(manifest)["train"][0]
+    open(train_file, "wb").write(b"not an image")
+    args = ["eval", "--checkpoint", small_run[1], "--manifest", manifest, "--split", "test",
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    capsys.readouterr()
+    os.remove(train_file)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest row ") and "missing file" in err, err
+    assert err.count("\n") == 1
+
+
+def test_inspect_deeply_nested_checkpoint_header_exits_1(tmp_path, capsys):
+    """json.loads raises RecursionError on a header of 100,000 nested lists;
+    it ends in one error line naming the file, not a traceback."""
+    path = tmp_path / "deep.swq"
+    blob = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(b"SWQK" + struct.pack("<II", train_module.FORMAT_VERSION, len(blob)) + blob)
+    assert main(["inspect", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_inspect_short_checkpoint_exits_1(tmp_path, capsys):
     short = tmp_path / "short.swq"
     short.write_bytes(b"SWQK\x01\x00")
@@ -480,8 +553,9 @@ def _set_row(**values):
     (lambda h: h.update(best_epoch=True), "header best_epoch must be int | None, got True"),
     (_set_row(val_acc="50"), "header history[0].val_acc must be float, got '50'"),
     (lambda h: h.update(epoch=-1), "header epoch -1 is out of range"),
+    (lambda h: h.update(epoch=0), "header history[0].epoch 1 is out of order or after epoch 0"),
 ], ids=["non-object-row", "str-t", "str-beta1", "str-epoch", "float-epoch", "str-val_auc",
-        "short-row", "bool-best_epoch", "str-val_acc", "negative-epoch"])
+        "short-row", "bool-best_epoch", "str-val_acc", "negative-epoch", "row-after-epoch"])
 def test_resume_from_checkpoint_with_a_non_object_history_row_exits_1(tmp_path, capsys, edit,
                                                                       want):
     """A resume from a checkpoint whose header breaks the schema exits 1 with

@@ -380,6 +380,25 @@ def test_checkpoint_history_rows_must_be_objects_with_an_integer_epoch(tmp_path,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit, want", [
+    (lambda h: h.update(epoch=0), "history[0].epoch 1 is out of order or after epoch 0"),
+    (lambda h: h.update(epoch=1), "history[1].epoch 2 is out of order or after epoch 1"),
+    (lambda h: h["history"].reverse(), "history[1].epoch 1 is out of order or after epoch 2"),
+    (lambda h: h["history"][1].update(epoch=1),
+     "history[1].epoch 1 is out of order or after epoch 2"),
+    (lambda h: h["history"][0].update(epoch=0),
+     "history[0].epoch 0 is out of order or after epoch 2"),
+], ids=["rows-after-epoch-0", "row-after-epoch", "reversed", "repeated", "epoch-0-row"])
+def test_checkpoint_history_epochs_increase_up_to_epoch(tmp_path, edit, want):
+    """A resume appends rows after `epoch`, so a history that is out of
+    order or runs past it would be recorded with epochs repeated."""
+    path = str(tmp_path / "rows.swq")
+    save_checkpoint(path, micro_checkpoint(with_best=False))
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header {want}") + "$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_short_fixed_header(tmp_path):
     path = str(tmp_path / "short.swq")
     open(path, "wb").write(b"SWQK\x01\x00")
@@ -559,7 +578,9 @@ def test_checkpoint_payload_is_aligned_and_loads_as_plain_arrays(tmp_path, with_
     history = [{"epoch": e, "train_loss": 0.5, "val_acc": 50.0, "val_auc": 0.5,
                 "lr": 1e-4 * e} for e in range(1, n_history + 1)]
     path = str(tmp_path / "a.swq")
-    save_checkpoint(path, micro_checkpoint(with_optim, with_best, history=history))
+    ckpt = micro_checkpoint(with_optim, with_best, history=history)
+    ckpt.epoch = max(ckpt.epoch, n_history)  # no history row after the checkpoint's epoch
+    save_checkpoint(path, ckpt)
     assert _payload_start(path) % train_module.PAYLOAD_ALIGN == 0
     ckpt = load_checkpoint(path)
     weights = next(iter(ckpt.params.values())).data
@@ -623,7 +644,7 @@ def test_checkpoint_load_makes_no_group_resident(tmp_path):
     moments = OptimState(m=np.full_like(flat, 0.25), v=np.full_like(flat, 0.5))
     path = str(tmp_path / "big.swq")
     save_checkpoint(path, Checkpoint(config=cfg, params=param_tensors(cfg, flat),
-                                     optim=moments, best_params=flat, best_epoch=1,
+                                     optim=moments, best_params=flat, best_epoch=1, epoch=1,
                                      history=[{"epoch": 1, "train_loss": 0.69, "val_acc": 50.0,
                                                "val_auc": 0.5, "lr": 1e-4}]))
     del flat, moments

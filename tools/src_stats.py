@@ -23,6 +23,10 @@ forward at batch 1 with the best weights, as `swinqa eval` scores; and
 the screening footprint: how far one no-grad `evaluate` of `micro` at
 batch 64 on 64 gray uint8 images, as `screen-micro-b64` scores, raises
 the peak RSS of a fresh interpreter that holds the weights and images.
+Then the `swinqa eval --split test` footprint: the peak RSS of a fresh
+interpreter that scores 100 `micro` test images at 64x64 with fresh
+weights, from a manifest with 100 train rows and from one whose 10,000
+train rows repeat one file; the train rows are checked but not read.
 Two trees are compared by running the script on each.
 """
 from __future__ import annotations
@@ -144,7 +148,7 @@ cfg = swin.preset("tiny", img_size=224)
 flat = swin.init_weights(cfg, np.random.default_rng(0))
 train.save_checkpoint({path!r}, train.Checkpoint(
     config=cfg, params=swin.param_tensors(cfg, flat), optim=train.OptimState(m=flat, v=flat),
-    best_params=flat, best_epoch=1,
+    best_params=flat, best_epoch=1, epoch=1,
     history=[{{"epoch": 1, "train_loss": 0.69, "val_acc": 50.0, "val_auc": 0.5, "lr": 1e-4}}]))
 print(0)
 """
@@ -183,6 +187,40 @@ train.evaluate(cfg, params, records, batch_size=64)
 """ + PEAK + """
 print(json.dumps([before, peak - before]))
 """
+
+
+# `swinqa eval --split test` of checkpoint `ckpt` on `manifest`: the peak
+CLI_EVAL = """
+import contextlib, io, json
+from swinqa import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "--checkpoint", {ckpt!r}, "--manifest", {manifest!r},
+                     "--split", "test", "--out", {out!r}]) == 0
+""" + PEAK + """
+print(json.dumps(peak))
+"""
+EVAL_TRAIN_ROWS = (100, 10_000)
+
+
+def eval_peaks(src: Path, d: str) -> list:
+    """CLI_EVAL's peak for a manifest of 100 test images and each of
+    EVAL_TRAIN_ROWS train rows; the rows past the first 100 repeat one file."""
+    from swinqa import data, swin, train
+
+    manifest = data.make_benchmark(data.SynthSpec(seed=1234), 100, 2, 100, d + "/dataset")
+    ckpt = os.path.join(d, "micro.swq")
+    cfg = swin.preset("micro")
+    train.save_checkpoint(ckpt, train.Checkpoint(
+        config=cfg, params=swin.init_params(cfg, np.random.default_rng(0))))
+    header, *rows = Path(manifest).read_text().splitlines()
+    train_rows = [r for r in rows if r.endswith(",train")]
+    peaks = []
+    for n in EVAL_TRAIN_ROWS:
+        path = os.path.join(d, "dataset", f"manifest_{n}.csv")
+        extra = train_rows[:1] * (n - len(train_rows))
+        Path(path).write_text("\n".join([header, *rows, *extra]) + "\n")
+        peaks.append(fresh_run(src, CLI_EVAL.format(ckpt=ckpt, manifest=path, out=d + "/out")))
+    return peaks
 
 
 def fresh_run(src: Path, code: str):
@@ -238,6 +276,10 @@ def main(argv) -> int:
     before, rise = fresh_run(src, EVAL)
     print(f"micro evaluate, 64 gray uint8 images in one batch: peak RSS +{rise:.1f} MB "
           f"over {before:.1f} MB")
+    with tempfile.TemporaryDirectory() as d:
+        peaks = eval_peaks(src, d)
+    print("swinqa eval --split test, 100 micro images, peak RSS: " + ", ".join(
+        f"{peak:.1f} MB with {n:,} train rows" for n, peak in zip(EVAL_TRAIN_ROWS, peaks)))
     return 0
 
 
