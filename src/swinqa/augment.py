@@ -59,6 +59,8 @@ class AugConfig:
             raise ValueError("jitter_strength and randaug_n must be non-negative")
         if not 0 <= self.randaug_magnitude <= 10:
             raise ValueError("randaug_magnitude is on a 0-10 scale")
+        if not all(s > 0 for s in self.normalize_std):
+            raise ValueError(f"normalize_std must be positive, got {self.normalize_std}")
 
 
 @dataclass
@@ -328,51 +330,38 @@ def equalize(img: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
-RANDAUGMENT_OPS = (
-    "identity", "rotate", "translate_x", "translate_y", "shear_x", "shear_y",
-    "brightness", "contrast", "sharpness", "posterize", "autocontrast", "equalize",
-)
-
-
-def _apply_randaug_op(img: np.ndarray, op: str, magnitude: float, rng) -> np.ndarray:
-    m = magnitude / 10.0
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    h, w = img.shape[:2]
-    if op == "identity":
-        return img
-    if op == "rotate":
-        return rotate(img, sign * _MAX_ROTATE_DEG * m)
-    if op == "translate_x":
-        return translate(img, 0.0, round(sign * _MAX_TRANSLATE_FRAC * m * w))
-    if op == "translate_y":
-        return translate(img, round(sign * _MAX_TRANSLATE_FRAC * m * h), 0.0)
-    if op == "shear_x":
-        return shear(img, 1, sign * _MAX_SHEAR * m)
-    if op == "shear_y":
-        return shear(img, 0, sign * _MAX_SHEAR * m)
-    if op == "brightness":
-        return adjust_brightness(img, 1.0 + sign * _MAX_ENHANCE * m)
-    if op == "contrast":
-        return adjust_contrast(img, 1.0 + sign * _MAX_ENHANCE * m)
-    if op == "sharpness":
-        return adjust_sharpness(img, 1.0 + sign * _MAX_ENHANCE * m)
-    if op == "posterize":
-        return posterize(img, 8 - int(round((8 - _MIN_POSTERIZE_BITS) * m)))
-    if op == "autocontrast":
-        return autocontrast(img)
-    if op == "equalize":
-        return equalize(img)
-    raise ValueError(f"unknown augmentation op {op!r}")
+# each RandAugment op, applied to an h x w image at sign s (+1 or -1) and
+# 0-1 magnitude m
+_RANDAUG = {
+    "identity": lambda img, s, m, h, w: img,
+    "rotate": lambda img, s, m, h, w: rotate(img, s * _MAX_ROTATE_DEG * m),
+    "translate_x": lambda img, s, m, h, w: translate(
+        img, 0.0, round(s * _MAX_TRANSLATE_FRAC * m * w)),
+    "translate_y": lambda img, s, m, h, w: translate(
+        img, round(s * _MAX_TRANSLATE_FRAC * m * h), 0.0),
+    "shear_x": lambda img, s, m, h, w: shear(img, 1, s * _MAX_SHEAR * m),
+    "shear_y": lambda img, s, m, h, w: shear(img, 0, s * _MAX_SHEAR * m),
+    "brightness": lambda img, s, m, h, w: adjust_brightness(img, 1.0 + s * _MAX_ENHANCE * m),
+    "contrast": lambda img, s, m, h, w: adjust_contrast(img, 1.0 + s * _MAX_ENHANCE * m),
+    "sharpness": lambda img, s, m, h, w: adjust_sharpness(img, 1.0 + s * _MAX_ENHANCE * m),
+    "posterize": lambda img, s, m, h, w: posterize(
+        img, 8 - int(round((8 - _MIN_POSTERIZE_BITS) * m))),
+    "autocontrast": lambda img, s, m, h, w: autocontrast(img),
+    "equalize": lambda img, s, m, h, w: equalize(img),
+}
+RANDAUGMENT_OPS = tuple(_RANDAUG)
 
 
 def rand_augment(image: np.ndarray, n: int, magnitude: float, rng) -> np.ndarray:
     """Apply n ops drawn uniformly with replacement from RANDAUGMENT_OPS at
-    the given 0-10 magnitude; output stays in [0, 1]. An [h, w] image is
-    read as [h, w, 1]."""
+    the given 0-10 magnitude, each at a random sign; output stays in
+    [0, 1]. An [h, w] image is read as [h, w, 1]."""
     img = _channels01(image)
+    h, w = img.shape[:2]
     for _ in range(n):
-        op = RANDAUGMENT_OPS[int(rng.integers(0, len(RANDAUGMENT_OPS)))]
-        img = _apply_randaug_op(img, op, magnitude, rng)
+        op = _RANDAUG[RANDAUGMENT_OPS[int(rng.integers(0, len(RANDAUGMENT_OPS)))]]
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        img = op(img, sign, magnitude / 10.0, h, w)
     return np.clip(img, 0.0, 1.0)
 
 

@@ -126,7 +126,7 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
         try:
             with open(path) as f:
                 file_cfg = json.load(f)
-        except OSError as e:
+        except (OSError, RecursionError) as e:  # json.load of a deeply nested file
             raise ConfigError(f"cannot read config {path}: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}")

@@ -378,28 +378,21 @@ def synth_lvot(spec: SynthSpec, positive: bool, rng) -> SampleRecord:
     rng_bg, rng_obj = rng.spawn(2)
     size = spec.size
     img = np.clip(0.10 + rng_bg.normal(0.0, spec.noise_sigma, size=(size, size)), 0.0, 1.0)
-    chambers = []
-    nominal = ((0.34, 0.35), (0.36, 0.66), (0.68, 0.38), (0.66, 0.67))
-    for ny, nx in nominal:
-        cy = size * (ny + float(rng_obj.uniform(-0.03, 0.03)))
-        cx = size * (nx + float(rng_obj.uniform(-0.03, 0.03)))
-        ry = size * float(rng_obj.uniform(0.09, 0.14))
-        rx = size * float(rng_obj.uniform(0.09, 0.14))
+
+    def paint(ny, nx, jitter, radius, values) -> dict:
+        """Draw an ellipse about (ny, nx), as fractions of the size, and fill it."""
+        cy = size * (ny + float(rng_obj.uniform(-jitter, jitter)))
+        cx = size * (nx + float(rng_obj.uniform(-jitter, jitter)))
+        ry = size * float(rng_obj.uniform(*radius))
+        rx = size * float(rng_obj.uniform(*radius))
         angle = float(rng_obj.uniform(0, math.pi))
-        value = float(rng_obj.uniform(0.55, 0.80))
+        value = float(rng_obj.uniform(*values))
         img[_ellipse_mask(size, cy, cx, ry, rx, angle)] = value
-        chambers.append({"cy": cy, "cx": cx, "ry": ry, "rx": rx,
-                         "angle": angle, "value": value})
-    lvot = None
-    if positive:
-        cy = size * (0.5 + float(rng_obj.uniform(-0.04, 0.04)))
-        cx = size * (0.5 + float(rng_obj.uniform(-0.04, 0.04)))
-        ry = size * float(rng_obj.uniform(0.05, 0.08))
-        rx = size * float(rng_obj.uniform(0.05, 0.08))
-        angle = float(rng_obj.uniform(0, math.pi))
-        value = float(rng_obj.uniform(0.85, 0.95))
-        img[_ellipse_mask(size, cy, cx, ry, rx, angle)] = value
-        lvot = {"cy": cy, "cx": cx, "ry": ry, "rx": rx, "angle": angle, "value": value}
+        return {"cy": cy, "cx": cx, "ry": ry, "rx": rx, "angle": angle, "value": value}
+
+    chambers = [paint(ny, nx, 0.03, (0.09, 0.14), (0.55, 0.80))
+                for ny, nx in ((0.34, 0.35), (0.36, 0.66), (0.68, 0.38), (0.66, 0.67))]
+    lvot = paint(0.5, 0.5, 0.04, (0.05, 0.08), (0.85, 0.95)) if positive else None
     # supplementary-style degradations: always a mild contrast squeeze ...
     squeeze = float(rng_obj.uniform(0.80, 1.00))
     img = img.mean() + (img - img.mean()) * squeeze
@@ -537,26 +530,30 @@ def load_manifest(path: str, splits=SPLITS) -> list:
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["path", "label", "split"]:
-            raise ValueError(f"manifest header must be path,label,split, got {header}")
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"manifest row {i}: expected 3 fields, got {len(row)}")
-            rel, label_s, split = row
-            if label_s not in ("0", "1"):
-                raise ValueError(f"manifest row {i}: label must be 0 or 1, got {label_s!r}")
-            if split not in SPLITS:
-                raise ValueError(f"manifest row {i}: bad split {split!r}")
-            img_path = os.path.join(base, rel)
-            if not os.path.exists(img_path):
-                raise ValueError(f"manifest row {i}: missing file {rel}")
-            if split in splits:
-                records.append(SampleRecord(source=rel, label=int(label_s), split=split,
-                                            image=_read_pixels(img_path)))
+        rows = enumerate(csv.reader(f), start=1)
+        i = 0  # the last row read
+        try:
+            i, header = next(rows, (1, None))
+            if header != ["path", "label", "split"]:
+                raise ValueError(f"manifest header must be path,label,split, got {header}")
+            for i, row in rows:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"manifest row {i}: expected 3 fields, got {len(row)}")
+                rel, label_s, split = row
+                if label_s not in ("0", "1"):
+                    raise ValueError(f"manifest row {i}: label must be 0 or 1, got {label_s!r}")
+                if split not in SPLITS:
+                    raise ValueError(f"manifest row {i}: bad split {split!r}")
+                img_path = os.path.join(base, rel)
+                if not os.path.exists(img_path):
+                    raise ValueError(f"manifest row {i}: missing file {rel}")
+                if split in splits:
+                    records.append(SampleRecord(source=rel, label=int(label_s), split=split,
+                                                image=_read_pixels(img_path)))
+        except csv.Error as e:  # a field over csv's size limit, say
+            raise ValueError(f"manifest row {i + 1}: {e}") from None
     return records
 
 

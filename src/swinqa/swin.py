@@ -57,15 +57,22 @@ _PRESETS = {
     "micro": (24, (1, 1, 2, 1), (2, 4, 4, 8), 0.1, 64, 4),
 }
 
-BLOCK_KEYS = (
-    "norm1.gamma", "norm1.beta",
-    "attn.qkv.weight", "attn.qkv.bias",
-    "attn.proj.weight", "attn.proj.bias",
-    "attn.bias_table",
-    "norm2.gamma", "norm2.beta",
-    "mlp.fc1.weight", "mlp.fc1.bias",
-    "mlp.fc2.weight", "mlp.fc2.bias",
-)
+
+def _block_layout(d: int, window: int, heads: int, hidden: int) -> list:
+    """(key, shape) of each parameter of a block of width d, in layout
+    order: attention_branch's seven, then mlp_branch's six."""
+    return [
+        ("norm1.gamma", (d,)), ("norm1.beta", (d,)),
+        ("attn.qkv.weight", (d, 3 * d)), ("attn.qkv.bias", (3 * d,)),
+        ("attn.proj.weight", (d, d)), ("attn.proj.bias", (d,)),
+        ("attn.bias_table", ((2 * window - 1) ** 2, heads)),
+        ("norm2.gamma", (d,)), ("norm2.beta", (d,)),
+        ("mlp.fc1.weight", (d, hidden)), ("mlp.fc1.bias", (hidden,)),
+        ("mlp.fc2.weight", (hidden, d)), ("mlp.fc2.bias", (d,)),
+    ]
+
+
+BLOCK_KEYS = tuple(key for key, _ in _block_layout(1, 1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -642,14 +649,10 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     drop = training and drop_prob > 0.0
     dtype = x.values.data.dtype
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
-    x1 = attention_branch(x.values, x.height, x.width, bp["norm1.gamma"], bp["norm1.beta"],
-                          bp["attn.qkv.weight"], bp["attn.qkv.bias"],
-                          bp["attn.proj.weight"], bp["attn.proj.bias"],
-                          bp["attn.bias_table"], window, heads, shift, gate)
+    ps = [bp[key] for key in BLOCK_KEYS]
+    x1 = attention_branch(x.values, x.height, x.width, *ps[:7], window, heads, shift, gate)
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
-    out = mlp_branch(x1, bp["norm2.gamma"], bp["norm2.beta"],
-                     bp["mlp.fc1.weight"], bp["mlp.fc1.bias"],
-                     bp["mlp.fc2.weight"], bp["mlp.fc2.bias"], gate)
+    out = mlp_branch(x1, *ps[7:], gate)
     return FeatureMap(x.height, x.width, x.dim, out)
 
 
@@ -685,18 +688,9 @@ def param_layout(cfg: SwinConfig) -> list:
                 (f"stages.{s}.merge.norm.beta", (4 * prev,)),
                 (f"stages.{s}.merge.reduction.weight", (4 * prev, 2 * prev)),
             ]
-        m, h, hid = cfg.eff_window(s), cfg.heads[s], cfg.mlp_hidden(s)
+        block = _block_layout(d, cfg.eff_window(s), cfg.heads[s], cfg.mlp_hidden(s))
         for b in range(cfg.depths[s]):
-            p = f"stages.{s}.blocks.{b}."
-            out += [
-                (p + "norm1.gamma", (d,)), (p + "norm1.beta", (d,)),
-                (p + "attn.qkv.weight", (d, 3 * d)), (p + "attn.qkv.bias", (3 * d,)),
-                (p + "attn.proj.weight", (d, d)), (p + "attn.proj.bias", (d,)),
-                (p + "attn.bias_table", ((2 * m - 1) ** 2, h)),
-                (p + "norm2.gamma", (d,)), (p + "norm2.beta", (d,)),
-                (p + "mlp.fc1.weight", (d, hid)), (p + "mlp.fc1.bias", (hid,)),
-                (p + "mlp.fc2.weight", (hid, d)), (p + "mlp.fc2.bias", (d,)),
-            ]
+            out += [(f"stages.{s}.blocks.{b}.{key}", shape) for key, shape in block]
     dl = cfg.final_dim
     out += [
         ("norm.gamma", (dl,)), ("norm.beta", (dl,)),

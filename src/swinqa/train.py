@@ -376,8 +376,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
               "rng_state": ckpt.rng_state,
               "history": ckpt.history,
               "optim": None if ckpt.optim is None else
-                  {"t": ckpt.optim.t, "beta1": ckpt.optim.beta1,
-                   "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps},
+                  {k: getattr(ckpt.optim, k) for k in _OPTIM},
               "tensors": _directory(cfg, ["", *groups])}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     blob += b" " * (-(len(MAGIC) + 8 + len(blob)) % PAYLOAD_ALIGN)  # JSON allows it
@@ -627,13 +626,10 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                 images = [train_records[i].image for i in idx]
                 ys = [train_records[i].label for i in idx]
-                if cfg.augment:
-                    *x, soft = prepare_batch(images, ys, cfg.aug, "train", scfg.img_size,
-                                             rng=_rng_for(cfg.seed, 2, epoch, b),
-                                             num_classes=scfg.num_classes)
-                else:
-                    *x, soft = prepare_batch(images, ys, cfg.aug, "eval", scfg.img_size,
-                                             num_classes=scfg.num_classes)
+                *x, soft = prepare_batch(
+                    images, ys, cfg.aug, "train" if cfg.augment else "eval", scfg.img_size,
+                    rng=_rng_for(cfg.seed, 2, epoch, b) if cfg.augment else None,
+                    num_classes=scfg.num_classes)
                 # as in evaluate, the stem frees the batch
                 logits = forward(x.pop(), scfg, ckpt.params, training=True,
                                  rng=_rng_for(cfg.seed, 3, epoch, b))

@@ -14,6 +14,7 @@ from swinqa.augment import (
     RANDAUGMENT_OPS,
     AugConfig,
     LabeledBatch,
+    adjust_brightness,
     adjust_contrast,
     adjust_saturation,
     adjust_sharpness,
@@ -21,6 +22,7 @@ from swinqa.augment import (
     bilinear_resize,
     color_jitter,
     cutmix,
+    equalize,
     mixup,
     posterize,
     prepare_batch,
@@ -386,6 +388,36 @@ def test_rand_augment_op_on_2d_one_and_three_planes(op):
     assert three.shape == (9, 11, 3)
     for c in range(3):
         assert np.array_equal(three[:, :, c:c + 1], one)
+
+
+@pytest.mark.parametrize("op", RANDAUGMENT_OPS)
+def test_rand_augment_applies_each_op_at_its_signed_magnitude(op):
+    """One scripted draw of `op` equals the op called directly: the 0-10
+    magnitude read as m on 0-1, the second draw below 0.5 meaning +m."""
+    img = np.random.default_rng(15).random((9, 15, 3))
+    img[2:5, 3:7] = 0.0
+    h, w, m = 9, 15, 7.0 / 10.0
+    for draw, s in ((0.2, 1.0), (0.7, -1.0)):
+        want = {
+            "identity": lambda: img,
+            "rotate": lambda: rotate(img, s * augment._MAX_ROTATE_DEG * m),
+            "translate_x": lambda: translate(
+                img, 0.0, round(s * augment._MAX_TRANSLATE_FRAC * m * w)),
+            "translate_y": lambda: translate(
+                img, round(s * augment._MAX_TRANSLATE_FRAC * m * h), 0.0),
+            "shear_x": lambda: shear(img, 1, s * augment._MAX_SHEAR * m),
+            "shear_y": lambda: shear(img, 0, s * augment._MAX_SHEAR * m),
+            "brightness": lambda: adjust_brightness(img, 1.0 + s * augment._MAX_ENHANCE * m),
+            "contrast": lambda: adjust_contrast(img, 1.0 + s * augment._MAX_ENHANCE * m),
+            "sharpness": lambda: adjust_sharpness(img, 1.0 + s * augment._MAX_ENHANCE * m),
+            "posterize": lambda: posterize(
+                img, 8 - int(round((8 - augment._MIN_POSTERIZE_BITS) * m))),
+            "autocontrast": lambda: autocontrast(img),
+            "equalize": lambda: equalize(img),
+        }[op]()
+        rng = ScriptedRng(ints=[RANDAUGMENT_OPS.index(op)], randoms=[draw])
+        got = rand_augment(img, 1, 7.0, rng)
+        assert np.array_equal(got, np.clip(want, 0.0, 1.0)), (op, s)
 
 
 def test_color_jitter_on_2d_one_and_three_planes():

@@ -18,7 +18,7 @@ from swinqa import data as data_module
 from swinqa import train as train_module
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
-from swinqa.swin import init_params, param_views, preset
+from swinqa.swin import count_params, init_params, param_views, preset
 from swinqa.train import (Checkpoint, TrainConfig, init_optim_state, load_checkpoint,
                           save_checkpoint)
 from test_acceptance import RECIPE
@@ -171,6 +171,7 @@ def small_run(tmp_path_factory):
     ("synth", {"synth": {"object_count": [1]}}, "synth.object_count"),  # wrong-length tuples
     ("train", {"aug": {"normalize_mean": [0.5, 0.5]}}, "aug.normalize_mean"),
     ("train", {"aug": {"erase_aspect": [0.3, 3.3, 1.0]}}, "aug.erase_aspect"),
+    ("train", {"aug": {"normalize_std": [0, 1, 1]}}, "normalize_std"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections, key):
     manifest, ckpt = small_run
@@ -205,6 +206,32 @@ def test_bad_config_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("text, want", [
+    ("[1, 2]", "config {path} must hold a JSON object"),
+    ('{"train": 5}', "'train' must be an object"),
+], ids=["array", "non-object-section"])
+def test_config_file_of_the_wrong_shape_exits_1(tmp_path, capsys, text, want):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["inspect", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: " + want.format(path=path) + "\n"
+    assert not out.exists()
+
+
+def test_deeply_nested_config_exits_1(tmp_path, capsys):
+    """json.load raises RecursionError on a value of 100,000 nested lists;
+    it ends in one error line naming the file, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "o"
+    assert main(["inspect", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- inspect
 
 
@@ -220,6 +247,14 @@ def test_inspect_prints_published_table(tmp_path, capsys):
     assert abs(rows[0]["gflops"] - 4.5) / 4.5 < 0.10
     assert abs(rows[3]["gflops"] - 324.6) / 324.6 < 0.10
     assert os.path.exists(os.path.join(out, "resolved_config.json"))
+
+
+def test_inspect_summarizes_a_checkpoint(tmp_path, capsys, small_run):
+    ckpt = small_run[1]
+    assert main(["inspect", "--checkpoint", ckpt, "--out", str(tmp_path / "o")]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    params = count_params(preset("micro"))
+    assert last == f"checkpoint: {ckpt}  params {params:,d}  epochs 0  best_epoch None"
 
 
 # ------------------------------------------------------------------- synth
@@ -411,6 +446,51 @@ def test_eval_checks_every_row_but_reads_only_its_split(tmp_path, capsys, small_
     err = capsys.readouterr().err
     assert err.startswith("error: manifest row ") and "missing file" in err, err
     assert err.count("\n") == 1
+
+
+def edited_manifest(tmp_path, manifest, edit) -> str:
+    """A copy of `manifest` with absolute paths, its lines passed through `edit`."""
+    base = os.path.dirname(os.path.abspath(manifest))
+    header, *rows = open(manifest).read().splitlines()
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(edit([header] + [os.path.join(base, r) for r in rows])) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit, row", [
+    (lambda lines: ["x" * 131_073] + lines[1:], 1),
+    (lambda lines: lines[:2] + ["y" * 131_073 + ",0,train"] + lines[2:], 3),
+], ids=["header", "row"])
+def test_manifest_field_over_the_csv_limit_exits_1(tmp_path, capsys, small_run, command,
+                                                   edit, row):
+    manifest, ckpt = small_run
+    manifest = edited_manifest(tmp_path, manifest, edit)
+    args = {"train": ["--config", train_config(tmp_path, manifest, epochs=1)],
+            "eval": ["--checkpoint", ckpt, "--manifest", manifest]}[command]
+    out = tmp_path / "o"
+    assert main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: manifest row {row}: field larger than field limit (131072)\n"
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
+def test_manifest_row_with_wrong_field_count_exits_1(tmp_path, capsys, small_run):
+    manifest, ckpt = small_run
+    manifest = edited_manifest(tmp_path, manifest, lambda lines: lines[:2] + ["a.pgm,0"])
+    assert main(["eval", "--checkpoint", ckpt, "--manifest", manifest,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: manifest row 3: expected 3 fields, got 2\n"
+
+
+def test_manifest_blank_row_is_skipped(tmp_path, capsys, small_run):
+    manifest, ckpt = small_run
+    manifest = edited_manifest(tmp_path, manifest, lambda lines: lines[:3] + [""] + lines[3:])
+    out = tmp_path / "o"
+    assert main(["eval", "--checkpoint", ckpt, "--manifest", manifest, "--split", "test",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.load(open(out / "eval_report.json"))["n_samples"] == 4
 
 
 def test_inspect_deeply_nested_checkpoint_header_exits_1(tmp_path, capsys):
@@ -635,6 +715,16 @@ def test_resume_ending_before_the_checkpoint_epoch_exits_1(tmp_path, capsys, ove
     err = capsys.readouterr().err
     assert err == "error: run ends at epoch 1, before the checkpoint's epoch 2\n"
     assert not os.path.exists(os.path.join(out, "checkpoint.swq"))
+
+
+def test_resume_under_another_model_config_exits_1(tmp_path, capsys, small_run):
+    manifest, ckpt = small_run
+    out = tmp_path / "t"
+    cfg = train_config(tmp_path, manifest, epochs=1, drop_path_max=0.2, checkpoint_in=ckpt)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint config does not match the train config\n"
+    assert os.listdir(out) == ["resolved_config.json"]
 
 
 def test_resume_with_another_seed_exits_1(tmp_path, capsys):
