@@ -63,6 +63,8 @@ class SynthSpec:
                 raise ValueError(f"{name} must be ordered and positive")
         if self.noise_sigma < 0 or self.background_blobs < 0:
             raise ValueError("noise_sigma and background_blobs must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -------------------------------------------------------------- generators
@@ -599,6 +601,8 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
     for n in (n_train, n_val, n_test):
         if n < 2 or n % 2:
             raise ValueError("split sizes must be even and >= 2 (balanced classes)")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and (
             os.path.isfile(os.path.join(out_dir, "manifest.csv")) or not os.listdir(out_dir))):
         raise ValueError(f"{out_dir} exists and is not a dataset directory; "

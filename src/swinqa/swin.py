@@ -48,6 +48,7 @@ NEG = -1e9  # additive mask value; large but finite so softmax gradients stay de
 _MLP_BLOCK = 1 << 17
 _MLP_MIN_ROWS = 512
 _INIT_CHUNK = 1 << 16  # elements per float64 weight draw in init_weights (512 KB)
+_STEM_BYTES = 1 << 18  # tiles and embedding of one no-grad stem chunk (256 KB)
 
 _PRESETS = {
     # name: (embed_dim, depths, heads, drop_path_max, default img, default window)
@@ -482,9 +483,11 @@ def window_attention(ws: WindowSet, qkv_weight: Tensor, qkv_bias: Tensor,
 def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
                      qkv_weight: Tensor, qkv_bias: Tensor, proj_weight: Tensor,
                      proj_bias: Tensor, table: Tensor, window: int, heads: int,
-                     shift: int, gate: np.ndarray | None = None) -> Tensor:
+                     shift: int, gate: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> Tensor:
     """Pre-norm attention residual branch on an h x w token grid:
-    x + gate * A(LN(x)), where A rolls the map by -shift, runs
+    x + gate * A(LN(x)), written into `out` (new when None; x.data itself
+    works when no graph is recorded), where A rolls the map by -shift, runs
     window_attention with relative-position bias `table` and the mask
     build_sw_attention_mask gives for `shift` (none at 0), and rolls back.
 
@@ -493,10 +496,10 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
     factor (the stochastic-depth draw), or None for 1. The roll and the
     partition are one fixed permutation of the tokens (_perm_cached): the
     layer-normed rows are gathered into window order, and the projection
-    is gathered back before the residual add. attention_fwd runs over
-    blocks of whole images whose qkv fits in cache, into one set of
-    block-sized scratch buffers without a graph, and into full-size buffers
-    that attention_bwd reads with one."""
+    is gathered back into block-sized scratch for the residual add.
+    attention_fwd runs over blocks of whole images whose qkv fits in
+    cache, into one set of block-sized scratch buffers without a graph, and
+    into full-size buffers that attention_bwd reads with one."""
     m = window
     if x.ndim != 3 or x.shape[1] != h * w or h % m or w % m or not 0 <= shift < m:
         raise ShapeError(f"attention branch on {x.shape}, shift {shift}: not [B, {h}*{w}, d] "
@@ -518,8 +521,8 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
     nw, o = np.empty((2, kept_images, t, d), dtype=dtype)  # nw: LN(x) in window order
     qkv = np.empty((kept_images, t, 3 * d), dtype=dtype)
     p = np.empty((kept_images, n_windows, heads, n, n), dtype=dtype)
-    y = np.empty((min(step, b), t, d), dtype=dtype)
-    out = np.empty_like(x.data)
+    y, z = np.empty((2, min(step, b), t, d), dtype=dtype)  # z: y in token order
+    out = np.empty_like(x.data) if out is None else out
     if records:
         n_tok, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, LN_EPS,
                                               keep_xhat=True)
@@ -538,8 +541,8 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
                       yb.reshape(-1, d))
         if gate is not None:
             yb *= gate[imgs, None, None]
-        ob = np.take(yb, inv, axis=1, out=out[imgs], mode="clip")
-        ob += x.data[imgs]
+        zb = np.take(yb, inv, axis=1, out=z[:bb], mode="clip")
+        np.add(zb, x.data[imgs], out=out[imgs])
 
     def bwd(g):
         gw = np.take(g, perm, axis=1)
@@ -562,8 +565,9 @@ def attention_branch(x: Tensor, h: int, w: int, gamma: Tensor, beta: Tensor,
 
 def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, fc1_weight: Tensor,
                fc1_bias: Tensor, fc2_weight: Tensor, fc2_bias: Tensor,
-               gate: np.ndarray | None = None) -> Tensor:
-    """Pre-norm MLP residual branch: x + gate * (GELU(LN(x) W1 + b1) W2 + b2).
+               gate: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
+    """Pre-norm MLP residual branch x + gate * (GELU(LN(x) W1 + b1) W2 + b2)
+    into `out` (new when None; x.data itself works when no graph is recorded).
 
     One graph node with a hand-written backward. Its parents are x and the
     six parameters; `gate` is a constant per-sample factor along axis 0 of
@@ -606,7 +610,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, fc1_weight: Tensor,
     y = y.reshape(x.shape)
     if gate is not None:
         y *= gate
-    y += x.data
+    out = np.add(y, x.data, out=y if out is None else out)
 
     def bwd(g):
         gy = (g if gate is None else g * gate).reshape(-1, d)
@@ -623,7 +627,7 @@ def mlp_branch(x: Tensor, gamma: Tensor, beta: Tensor, fc1_weight: Tensor,
         dx += g
         x._accumulate(dx)
 
-    return Tensor._from_op(y, parents, bwd)
+    return Tensor._from_op(out, parents, bwd)
 
 
 def _drop_path_gate(batch: int, drop_prob: float, rng, dtype) -> np.ndarray:
@@ -634,10 +638,11 @@ def _drop_path_gate(batch: int, drop_prob: float, rng, dtype) -> np.ndarray:
 
 
 def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
-               drop_prob: float = 0.0, training: bool = False, rng=None) -> FeatureMap:
+               drop_prob: float = 0.0, training: bool = False, rng=None,
+               out: np.ndarray | None = None) -> FeatureMap:
     """One transformer block: windowed attention then MLP, both as
     pre-norm residual branches under stochastic depth, and one graph node
-    each (attention_branch, mlp_branch).
+    each (attention_branch, mlp_branch), both written into `out` if given.
 
     `bp` maps the names in BLOCK_KEYS to parameter tensors. When `shifted`,
     attention runs on the map rolled by -window//2, masked, and the roll is
@@ -650,20 +655,23 @@ def swin_block(x: FeatureMap, bp: dict, window: int, heads: int, shifted: bool,
     dtype = x.values.data.dtype
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
     ps = [bp[key] for key in BLOCK_KEYS]
-    x1 = attention_branch(x.values, x.height, x.width, *ps[:7], window, heads, shift, gate)
+    x1 = attention_branch(x.values, x.height, x.width, *ps[:7], window, heads, shift, gate,
+                          out)
     gate = _drop_path_gate(x.batch, drop_prob, rng, dtype) if drop else None
-    out = mlp_branch(x1, *ps[7:], gate)
-    return FeatureMap(x.height, x.width, x.dim, out)
+    return FeatureMap(x.height, x.width, x.dim, mlp_branch(x1, *ps[7:], gate, out))
 
 
 def patch_merging(fm: FeatureMap, norm_gamma: Tensor, norm_beta: Tensor,
                   reduction_weight: Tensor) -> FeatureMap:
     """Downsample 2x: concat 2x2 neighborhoods (4D) column-major, the order
-    the rows of the reduction weight mean, then layer norm and a biasless
-    linear 4D -> 2D."""
+    the rows of the reduction weight mean, then layer norm (over the fresh
+    tiles in place when no graph is recorded) and a biasless linear
+    4D -> 2D. A map the caller holds no reference to is freed once tiled."""
     cat = concat_tiles(fm.values, fm.height, fm.width, 2, col_major=True)
-    out = matmul(layer_norm(cat, norm_gamma, norm_beta), reduction_weight)
-    return FeatureMap(fm.height // 2, fm.width // 2, reduction_weight.shape[1], out)
+    h, w = fm.height // 2, fm.width // 2
+    del fm
+    out = matmul(layer_norm(cat, norm_gamma, norm_beta, overwrite=True), reduction_weight)
+    return FeatureMap(h, w, reduction_weight.shape[1], out)
 
 
 # ------------------------------------------------------- parameters
@@ -817,8 +825,13 @@ def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=No
     dtype, which the stem's one copy casts) -> [num_classes] logits; a
     leading batch axis maps through. Blocks within a stage alternate
     unshifted/shifted starting unshifted; shift is skipped where one window
-    covers the grid. `image` is dropped once the stem has copied it: on
-    CPython >= 3.11 a batch the caller kept no reference to is freed then."""
+    covers the grid. `image` is dropped once the stem has read it: on
+    CPython >= 3.11 a batch the caller kept no reference to is freed then.
+
+    Without a graph, forward keeps one residual stream: the stem embeds
+    _STEM_BYTES of tiles and embedding at a time into one buffer, each
+    layer norm and block writes over it, and each merge frees it once
+    tiled. `image` is never written, and every output bit is kept."""
     single = image.ndim == 3
     pixels = (cfg.img_size, cfg.img_size, cfg.in_channels)
     if image.ndim not in (3, 4) or image.shape[-3:] != pixels:
@@ -826,25 +839,40 @@ def forward(image, cfg: SwinConfig, params: dict, training: bool = False, rng=No
     if training and cfg.drop_path_max > 0 and rng is None:
         raise ValueError("training forward with stochastic depth needs an rng")
 
-    fm = patch_partition(image, cfg.patch_size)
-    del image
-    fm = linear_embed(fm, params["patch_embed.weight"], params["patch_embed.bias"])
+    records = records_graph(list(params.values()) + ([image] if isinstance(image, Tensor) else []))
+    embed = params["patch_embed.weight"], params["patch_embed.bias"]
+    if records:
+        fm = patch_partition(image, cfg.patch_size)
+        del image
+        fm = linear_embed(fm, *embed)
+    else:
+        batch = (image.data if isinstance(image, Tensor) else image).reshape((-1,) + pixels)
+        del image
+        stream = np.empty((len(batch), cfg.grid(0) ** 2, cfg.embed_dim), dtype=default_dtype())
+        step = max(1, _STEM_BYTES // ((batch[0].size + stream[0].size) * stream.itemsize))
+        for i in range(0, len(batch), step):
+            stream[i:i + step] = linear_embed(
+                patch_partition(batch[i:i + step], cfg.patch_size), *embed).values.data
+        fm = FeatureMap(cfg.grid(0), cfg.grid(0), cfg.embed_dim, Tensor(stream))
+        del batch, stream
     fm = FeatureMap(fm.height, fm.width, fm.dim,
                     layer_norm(fm.values, params["patch_embed.norm.gamma"],
-                               params["patch_embed.norm.beta"]))
+                               params["patch_embed.norm.beta"], overwrite=True))
     rates = stochastic_depth_rates(cfg.drop_path_max, cfg.total_blocks)
     gi = 0
     for s in range(cfg.num_stages):
-        if s > 0:
-            fm = patch_merging(fm, params[f"stages.{s}.merge.norm.gamma"],
+        if s > 0:  # the merge is handed the map's only reference
+            held, fm = [fm], None
+            fm = patch_merging(held.pop(), params[f"stages.{s}.merge.norm.gamma"],
                                params[f"stages.{s}.merge.norm.beta"],
                                params[f"stages.{s}.merge.reduction.weight"])
         for b in range(cfg.depths[s]):
             bp = {k: params[f"stages.{s}.blocks.{b}.{k}"] for k in BLOCK_KEYS}
             shifted = b % 2 == 1 and cfg.shift(s) > 0
             fm = swin_block(fm, bp, cfg.eff_window(s), cfg.heads[s], shifted,
-                            drop_prob=rates[gi], training=training, rng=rng)
+                            drop_prob=rates[gi], training=training, rng=rng,
+                            out=None if records else fm.values.data)
             gi += 1
-    hfin = layer_norm(fm.values, params["norm.gamma"], params["norm.beta"])
+    hfin = layer_norm(fm.values, params["norm.gamma"], params["norm.beta"], overwrite=True)
     logits = matmul(hfin.mean(axis=1), params["head.weight"]) + params["head.bias"]
     return logits[0] if single else logits

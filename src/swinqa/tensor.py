@@ -386,12 +386,13 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   eps: float, keep_xhat: bool) -> tuple:
+                   eps: float, keep_xhat: bool, out: np.ndarray | None = None) -> tuple:
     """Layer norm over the last axis of x: (out, xhat, inv_std), where
     xhat is the standardized input and inv_std its per-row 1/std, the two
-    things the backward needs. Without keep_xhat the output overwrites
-    xhat, and xhat and inv_std come back as None."""
-    xhat = x - _mean_last(x)
+    things the backward needs. xhat is written into `out` (new when None;
+    x itself works). Without keep_xhat the output overwrites xhat, and
+    xhat and inv_std come back as None."""
+    xhat = np.subtract(x, _mean_last(x), out=out)
     inv_std = 1.0 / np.sqrt(_dot_last(xhat, xhat) / x.shape[-1] + eps)
     xhat *= inv_std
     out = np.multiply(xhat, gamma, out=None if keep_xhat else xhat)
@@ -414,16 +415,19 @@ def layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     return gx, d_gamma, d_beta
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Standardize over the last axis, then scale/shift by gamma/beta."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS,
+               overwrite: bool = False) -> Tensor:
+    """Standardize over the last axis, then scale/shift by gamma/beta. With
+    `overwrite` and no graph recorded, the output is written over x.data."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    out_data, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, eps,
-                                             keep_xhat=records_graph((x, gamma, beta)))
+    records = records_graph((x, gamma, beta))
+    out_data, xhat, inv_std = layer_norm_fwd(x.data, gamma.data, beta.data, eps, records,
+                                             x.data if overwrite and not records else None)
 
     def bwd(g):
         gx, d_gamma, d_beta = layer_norm_bwd(g, xhat, inv_std, gamma.data)

@@ -110,6 +110,8 @@ class TrainConfig:
             raise ValueError("stop_epoch must be in [1, epochs]")
         if self.eval_batch_size < 1:
             raise ValueError("eval_batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def swin_config(self) -> SwinConfig:
         cfg = preset(self.model, img_size=self.img_size, window=self.window,

@@ -744,6 +744,24 @@ def test_resume_with_another_seed_exits_1(tmp_path, capsys):
     assert os.listdir(out) == ["resolved_config.json"]
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exits_1(tmp_path, capsys, small_run, command):
+    manifest, _ = small_run
+    flags = {"train": ["--manifest", manifest]}.get(command, [])
+    out = tmp_path / "o"
+    assert main([command, "--seed", "-1", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_synth_with_workers_below_1_exits_1(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["synth", "--workers", str(workers), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
 # ------------------------------------------------------------------- bench
 
 

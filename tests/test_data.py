@@ -314,6 +314,14 @@ def test_image_functions_take_uint8_pixels_as_their_floats(tmp_path):
     assert np.array_equal(histogram_equalize(gray), histogram_equalize(pixels01(gray)))
 
 
+def test_make_benchmark_refuses_workers_below_1_and_a_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+        make_benchmark(fo_spec(), 4, 2, 2, str(tmp_path / "a"), workers=0)
+    assert not os.listdir(tmp_path)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        fo_spec(seed=-1)
+
+
 def test_make_benchmark_deterministic_and_worker_invariant(tmp_path):
     spec = fo_spec(seed=33)
     m1 = make_benchmark(spec, 4, 2, 2, str(tmp_path / "a"), workers=1)

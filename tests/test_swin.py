@@ -1102,6 +1102,32 @@ def test_swin_block_eval_allocates_block_sized_scratch(shifted):
     assert peak <= 3 * out.values.data.nbytes
 
 
+def test_no_grad_evaluate_holds_one_residual_stream():
+    """A second no-grad evaluate of 64 gray 8-bit images, micro at batch 64
+    (the first fills the caches), holds the float32 batch (3 MiB) until
+    the stem has embedded it, one residual stream (1.5 MiB at stage 0) and
+    chunk-sized scratch: a traced peak of at most 5.5 MiB. Holding the
+    batch beside its tile copy, and each block's input beside its branch
+    outputs, peaked at 6.0 MiB."""
+    from swinqa.data import SampleRecord
+    from swinqa.train import evaluate
+    cfg = preset("micro")
+    rng = np.random.default_rng(47)
+    records = [SampleRecord(source=str(i), label=i % 2,
+                            image=rng.integers(0, 256, (64, 64), dtype=np.uint8))
+               for i in range(64)]
+    with using_dtype("float32"):
+        params = init_params(cfg, rng)
+        evaluate(cfg, params, records, batch_size=64)
+        tracemalloc.start()
+        try:
+            evaluate(cfg, params, records, batch_size=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 5.5 * 2**20, peak
+
+
 def test_swin_block_gradcheck_shifted():
     rng = np.random.default_rng(21)
     with using_dtype("float64"):
@@ -1371,6 +1397,52 @@ def test_forward_array_input_matches_tensor_input(training):
         a, b = (forward(x, cfg, params, training=training, rng=np.random.default_rng(9))
                 for x in (img, Tensor(img)))
     assert a.data.dtype == np.float32 and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("name, batch, dtype", [
+    ("micro", 64, "float32"), ("micro", 64, "float64"), ("micro", 5, "float32"),
+    ("micro", 5, "float64"), ("tiny", 1, "float32")])
+def test_no_grad_forward_matches_recording_forward(monkeypatch, name, batch, dtype):
+    """Without a graph, forward keeps one residual stream: the stem embeds
+    the batch a chunk of images at a time, the branches add in place and
+    the merges normalize their tiles in place. The logits are the bits of
+    the graph-recording forward, for an array or a Tensor input, with
+    chunks of one image, the default (at micro float32, 3 images: batch 5
+    ends on a short chunk) or the whole batch; the caller's pixels are
+    left as they were."""
+    cfg = preset(name)
+    rng = np.random.default_rng(45)
+    img = rng.random((batch, cfg.img_size, cfg.img_size, 3))
+    before = img.copy()
+    with using_dtype(dtype):
+        params = init_params(cfg, rng)
+        recorded = forward(Tensor(img), cfg, params)
+        assert recorded._parents
+        want = recorded.data.tobytes()
+        del recorded
+        for stem_bytes in (1, swin._STEM_BYTES, 1 << 40):
+            monkeypatch.setattr(swin, "_STEM_BYTES", stem_bytes)
+            with no_grad():
+                for x in (img, Tensor(img)):
+                    assert forward(x, cfg, params).data.tobytes() == want, stem_bytes
+    assert np.array_equal(img, before)
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_branches_add_the_residual_into_out(gated):
+    """With out=x.data and no graph, each branch op writes x + branch(x)
+    over x with the bits of its default, freshly allocated output."""
+    gate = GATE if gated else None
+    with no_grad():
+        t = {k: Tensor(a) for k, a in branch_inputs(np.random.default_rng(57)).items()}
+        want = fused_branch(t, shift=2, gate=gate).data.copy()
+        got = attention_branch(t["x"], 8, 8, *(t[k] for k in BRANCH_ARGS[1:]), 4, 2, 2, gate,
+                               out=t["x"].data)
+        assert got.data is t["x"].data and np.array_equal(got.data, want)
+        t = {k: Tensor(a) for k, a in mlp_inputs(np.random.default_rng(58)).items()}
+        want = fused_mlp(t, gate).data.copy()
+        got = mlp_branch(*(t[k] for k in MLP_ARGS), gate=gate, out=t["x"].data)
+        assert got.data is t["x"].data and np.array_equal(got.data, want)
 
 
 @pytest.mark.parametrize("over", [dict(patch_size=2), dict(img_size=32, patch_size=8),

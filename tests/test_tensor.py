@@ -112,6 +112,25 @@ def test_layer_norm_standardizes():
     assert np.abs(y2 - [[-2.0, 4.0]]).max() < 1e-6
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_layer_norm_overwrite_only_without_a_graph(dtype):
+    """overwrite=True writes the output's bits over x.data when no graph is
+    recorded, and leaves x alone when one is."""
+    rng = np.random.default_rng(3)
+    with using_dtype(dtype):
+        x, g, b = (Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal((3, 5, 16)) * 3 + 1, 1 + rng.standard_normal(16),
+            rng.standard_normal(16)))
+        want = layer_norm(x, g, b)
+        before = x.data.copy()
+        recorded = layer_norm(x, g, b, overwrite=True)
+        assert recorded._parents and np.array_equal(x.data, before)
+        assert np.array_equal(recorded.data, want.data)
+        with no_grad():
+            plain = layer_norm(x, g, b, overwrite=True)
+        assert plain.data is x.data and np.array_equal(x.data, want.data)
+
+
 def test_gelu_reference_points():
     # Phi(1) = 0.8413447460685429, gelu(1) = 1 * Phi(1)
     y = gelu(Tensor([[-1.0, 0.0, 1.0, 10.0]])).data[0]

@@ -1097,29 +1097,40 @@ def test_train_drops_each_step_graph_before_the_next_forward(monkeypatch):
                            "stack until it returns, so the batch outlives the stem")
 def test_batch_is_unreachable_once_the_stem_has_read_it(monkeypatch):
     # one training step (a train-mode batch), then evaluate over one chunk;
-    # with gc off, only reference counts can free the batch
+    # with gc off, only reference counts can free the batch. The training
+    # forward frees it before its one embedding GEMM; the no-grad forward
+    # embeds it a few images at a time and frees it after the last, before
+    # the first of micro's five blocks
     seen, batches = [], []
-    prepare, embed = train_module.prepare_batch, swin_module.linear_embed
+    prepare = train_module.prepare_batch
 
     def tracked_prepare(images, labels, cfg, mode, *args, **kwargs):
         x, soft = prepare(images, labels, cfg, mode, *args, **kwargs)
         batches.append((mode, weakref.ref(x)))
         return x, soft
 
-    def checked_embed(*args, **kwargs):
-        mode, batch = batches[-1]
-        seen.append((mode, batch() is None))
-        return embed(*args, **kwargs)
+    def check(name):
+        layer = getattr(swin_module, name)
+
+        def checked(*args, **kwargs):
+            mode, batch = batches[-1]
+            seen.append((name, mode, batch() is None))
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(swin_module, name, checked)
 
     monkeypatch.setattr(train_module, "prepare_batch", tracked_prepare)
-    monkeypatch.setattr(swin_module, "linear_embed", checked_embed)
+    check("linear_embed")
+    check("swin_block")
     gc.disable()
     try:
         train(micro_train_cfg(epochs=1, warmup_epochs=0, augment=True, eval_batch_size=4),
               records(4), records(4))
     finally:
         gc.enable()
-    assert seen == [("train", True), ("eval", True)]
+    assert seen[0] == ("linear_embed", "train", True)
+    assert [s for s in seen if s[0] == "swin_block"] == (
+        [("swin_block", "train", True)] * 5 + [("swin_block", "eval", True)] * 5)
 
 
 def test_train_rejects_empty_splits():

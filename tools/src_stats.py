@@ -20,9 +20,11 @@ bytes (`count_params` x 4), and the checkpoint footprint: the peak RSS of
 a fresh interpreter that loads a `tiny` checkpoint holding all four
 groups (weights, AdamW m and v, best weights) and runs one no-grad
 forward at batch 1 with the best weights, as `swinqa eval` scores; and
-the screening footprint: how far one no-grad `evaluate` of `micro` at
-batch 64 on 64 gray uint8 images, as `screen-micro-b64` scores, raises
-the peak RSS of a fresh interpreter that holds the weights and images.
+the screening footprints: how far one no-grad `evaluate` of `micro` at
+batch 64 on 64 gray uint8 images, as `screen-micro-b64` scores, and one
+of `tiny` at batch 32 on 32 images at 224x224, raise the peak RSS of a
+fresh interpreter that holds the weights and images, and the tracemalloc
+peak of a second such `evaluate` in it (the first fills the caches).
 Then the `swinqa eval --split test` footprint: the peak RSS of a fresh
 interpreter that scores 100 `micro` test images at 64x64 with fresh
 weights, from a manifest with 100 train rows and from one whose 10,000
@@ -168,25 +170,29 @@ print(json.dumps([peak, os.path.getsize({path!r})]))
 """
 
 
-# one no-grad `evaluate` of `micro` on 64 gray uint8 images in one batch:
-# the peak before it, and the rise it adds
+# two no-grad `evaluate`s of preset `name` on `batch` gray uint8 images in
+# one batch: the peak before them, the rise the first adds, and the traced
+# peak of the second
 EVAL = """
-import json
+import json, tracemalloc
 import numpy as np
 from swinqa import data, swin, train
-cfg = swin.preset("micro")
+cfg = swin.preset({name!r})
 params = swin.init_params(cfg, np.random.default_rng(0))
 rng = np.random.default_rng(1)
 shape = (cfg.img_size, cfg.img_size)
 records = [data.SampleRecord(source=str(i), label=i % 2,
                              image=rng.integers(0, 256, shape, dtype=np.uint8))
-           for i in range(64)]
+           for i in range({batch})]
 """ + PEAK + """
 before = peak
-train.evaluate(cfg, params, records, batch_size=64)
+train.evaluate(cfg, params, records, batch_size={batch})
 """ + PEAK + """
-print(json.dumps([before, peak - before]))
+tracemalloc.start()
+train.evaluate(cfg, params, records, batch_size={batch})
+print(json.dumps([before, peak - before, tracemalloc.get_traced_memory()[1]]))
 """
+EVAL_CASES = (("micro", 64), ("tiny", 32))
 
 
 # `swinqa eval --split test` of checkpoint `ckpt` on `manifest`: the peak
@@ -273,9 +279,11 @@ def main(argv) -> int:
         peak, size = fresh_run(src, CKPT_EVAL.format(path=path))
     print(f"tiny checkpoint, 4 groups ({size / 2**20:.1f} MB), load and a b1 forward "
           f"with the best weights: peak RSS {peak:.1f} MB")
-    before, rise = fresh_run(src, EVAL)
-    print(f"micro evaluate, 64 gray uint8 images in one batch: peak RSS +{rise:.1f} MB "
-          f"over {before:.1f} MB")
+    for name, batch in EVAL_CASES:
+        before, rise, traced = fresh_run(src, EVAL.format(name=name, batch=batch))
+        print(f"{name} evaluate, {batch} gray uint8 images in one batch: peak RSS "
+              f"+{rise:.1f} MB over {before:.1f} MB; traced peak of a second "
+              f"{traced / 2**20:.2f} MiB")
     with tempfile.TemporaryDirectory() as d:
         peaks = eval_peaks(src, d)
     print("swinqa eval --split test, 100 micro images, peak RSS: " + ", ".join(
