@@ -1,8 +1,10 @@
 """Architecture: published parameter/FLOP totals, exact structural
 identities, and attention against brute-force oracles."""
 
+import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1426,6 +1428,36 @@ def test_no_grad_forward_matches_recording_forward(monkeypatch, name, batch, dty
                 for x in (img, Tensor(img)):
                     assert forward(x, cfg, params).data.tobytes() == want, stem_bytes
     assert np.array_equal(img, before)
+
+
+def test_no_grad_merge_frees_the_previous_stage_once_tiled(monkeypatch):
+    """A no-grad forward hands each merge the only reference to the
+    previous stage's map: when the merge's layer norm runs, reference
+    counts alone have freed the last block's output. The stem's norm runs
+    before any block, and the final norm on the last block's output."""
+    arrays, seen = [], []
+    block, norm = swin.swin_block, swin.layer_norm
+
+    def tracked_block(*args, **kwargs):
+        out = block(*args, **kwargs)
+        arrays.append(weakref.ref(out.values.data))
+        return out
+
+    def checked_norm(*args, **kwargs):
+        seen.append(arrays[-1]() is None if arrays else None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(swin, "swin_block", tracked_block)
+    monkeypatch.setattr(swin, "layer_norm", checked_norm)
+    cfg = preset("micro")
+    params = init_params(cfg, np.random.default_rng(48))
+    gc.disable()
+    try:
+        with no_grad():
+            forward(np.random.default_rng(49).random((2, 64, 64, 3)), cfg, params)
+    finally:
+        gc.enable()
+    assert seen == [None, True, True, True, False]
 
 
 @pytest.mark.parametrize("gated", [False, True])
