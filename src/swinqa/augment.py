@@ -27,6 +27,7 @@ _MAX_SHEAR = 0.3
 _MAX_ENHANCE = 0.9      # brightness/contrast/sharpness factor 1 +- this
 _MIN_POSTERIZE_BITS = 4
 
+_FILL = 0.5  # what a geometric op reads outside the image
 _LUMA = np.array([0.299, 0.587, 0.114])
 _SMOOTH_KERNEL = np.array([[1.0, 1, 1], [1, 5, 1], [1, 1, 1]]) / 13.0
 
@@ -55,6 +56,9 @@ class AugConfig:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise ValueError(f"{name} must be ordered and positive")
+        if self.erase_scale[1] > 1:  # no rectangle of a draw above 1 fits the image
+            raise ValueError(f"erase_scale is a fraction of the image area, at most 1, "
+                             f"got {self.erase_scale}")
         if self.jitter_strength < 0 or self.randaug_n < 0:
             raise ValueError("jitter_strength and randaug_n must be non-negative")
         if not 0 <= self.randaug_magnitude <= 10:
@@ -235,11 +239,11 @@ def _centered_grid(h: int, w: int) -> tuple:
     return dr, dc
 
 
-def _affine_sample(img: np.ndarray, inv: np.ndarray, offset, fill: float = 0.5) -> np.ndarray:
+def _affine_sample(img: np.ndarray, inv: np.ndarray, offset) -> np.ndarray:
     """Inverse-mapped bilinear warp about the image center of img [h, w, C].
 
     For output pixel p (row, col), samples the input at
-    inv @ (p - center) + center + offset; out-of-range taps read `fill`.
+    inv @ (p - center) + center + offset; out-of-range taps read _FILL.
     """
     h, w, c = img.shape
     dr, dc = _centered_grid(h, w)
@@ -250,10 +254,10 @@ def _affine_sample(img: np.ndarray, inv: np.ndarray, offset, fill: float = 0.5) 
     fr = (sr - r0)[:, :, None]
     fc = (sc - c0)[:, :, None]
     # gather the four taps with one index into a copy of the image inside a
-    # 2-pixel border of `fill`: clamping the top-left tap to [-2, h] x [-2, w]
+    # 2-pixel border of _FILL: clamping the top-left tap to [-2, h] x [-2, w]
     # sends every out-of-range tap into the border and moves no in-range one
     hp, wp = h + 4, w + 4
-    src = np.full((hp, wp, c), fill, dtype=img.dtype)
+    src = np.full((hp, wp, c), _FILL, dtype=img.dtype)
     src[2:-2, 2:-2] = img
     base = (np.minimum(np.maximum(r0, -2), h) + 2) * wp + np.minimum(np.maximum(c0, -2), w) + 2
     t00, t01, t10, t11 = src.reshape(hp * wp, c)[np.stack([base, base + 1, base + wp,

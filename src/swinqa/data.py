@@ -444,28 +444,15 @@ def quantize(image: np.ndarray) -> np.ndarray:
     return np.clip(q, 0, 255, out=q).astype(np.uint8)
 
 
-def _write_pnm(path: str, magic: str, data: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(f"{magic}\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        f.write(data.tobytes())
-
-
 def write_pgm(path: str, image: np.ndarray) -> None:
     """Binary 8-bit PGM (P5), maxval 255, from a [h, w] image in [0, 1] or
     of uint8 pixels."""
     data = quantize(image)
     if data.ndim != 2:
         raise ValueError(f"PGM wants [h, w] grayscale, got {data.shape}")
-    _write_pnm(path, "P5", data)
-
-
-def write_ppm(path: str, image: np.ndarray) -> None:
-    """Binary 8-bit PPM (P6), maxval 255, from a [h, w, 3] image in [0, 1]
-    or of uint8 pixels."""
-    data = quantize(image)
-    if data.ndim != 3 or data.shape[2] != 3:
-        raise ValueError(f"PPM wants [h, w, 3] color, got {data.shape}")
-    _write_pnm(path, "P6", data)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
+        f.write(data.tobytes())
 
 
 def _read_header_tokens(f, count: int) -> list:

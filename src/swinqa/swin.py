@@ -79,7 +79,8 @@ BLOCK_KEYS = tuple(key for key, _ in _block_layout(1, 1, 1, 1))
 @dataclass(frozen=True)
 class SwinConfig:
     """Architecture hyperparameters. Stage s runs at dim embed_dim*2^s on a
-    token grid of extent img_size/patch_size/2^s."""
+    token grid of extent img_size/patch_size/2^s, which each patch merging
+    halves, so every grid but the last must be even."""
 
     img_size: int
     embed_dim: int
@@ -114,8 +115,11 @@ class SwinConfig:
                 raise ValueError(
                     f"stage {s} dim {self.stage_dim(s)} not divisible by {self.heads[s]} heads")
             g, m = self.grid(s), self.eff_window(s)
-            if g < 1 or g % m:
+            if g % m:
                 raise ValueError(f"stage {s} token grid {g} not divisible by window {m}")
+            if g % 2 and s < self.num_stages - 1:
+                raise ValueError(f"img_size {self.img_size} gives stage {s} an odd token "
+                                 f"grid {g}, which patch merging cannot halve")
 
     @property
     def num_stages(self) -> int:
@@ -183,9 +187,6 @@ class FeatureMap:
     @property
     def batch(self) -> int:
         return self.values.shape[0]
-
-    def grid_values(self) -> Tensor:
-        return self.values.reshape(self.batch, self.height, self.width, self.dim)
 
 
 @dataclass
@@ -775,38 +776,26 @@ def count_params(cfg: SwinConfig) -> int:
     return total
 
 
-def count_flops(cfg: SwinConfig, h: int | None = None, w: int | None = None) -> float:
-    """Multiply-accumulates for one forward pass at h x w input
+def count_flops(cfg: SwinConfig) -> float:
+    """Multiply-accumulates for one forward pass at img_size x img_size
     (one MAC counted as one FLOP). Covers linear layers, QK^T and AV
     products, layer norms, and the patch/pool arithmetic."""
-    h = cfg.img_size if h is None else h
-    w = cfg.img_size if w is None else w
-    if h % cfg.patch_size or w % cfg.patch_size:
-        raise ShapeError(f"input {h}x{w} not divisible by patch {cfg.patch_size}")
     c = cfg.embed_dim
     patch_dim = cfg.patch_size * cfg.patch_size * cfg.in_channels
-    gh, gw = h // cfg.patch_size, w // cfg.patch_size
-    total = float(gh * gw * (patch_dim * c + c))
+    total = float(cfg.grid(0) ** 2 * (patch_dim * c + c))
     for s in range(cfg.num_stages):
-        d = cfg.stage_dim(s)
+        d, t, m, hid = cfg.stage_dim(s), cfg.grid(s) ** 2, cfg.eff_window(s), cfg.mlp_hidden(s)
         if s > 0:
             prev = cfg.stage_dim(s - 1)
-            if gh % 2 or gw % 2:
-                raise ShapeError(f"stage {s} grid {gh}x{gw} not even")
             # LN over T/4 tokens of 4*prev dims, then (4*prev -> 2*prev) linear
-            total += gh * gw * prev + (gh // 2) * (gw // 2) * 8 * prev * prev
-            gh, gw = gh // 2, gw // 2
-        m = min(cfg.window, gh, gw)
-        if gh % m or gw % m:
-            raise ShapeError(f"stage {s} grid {gh}x{gw} not divisible by window {m}")
-        t, hid = gh * gw, cfg.mlp_hidden(s)
+            total += cfg.grid(s - 1) ** 2 * prev + t * 8 * prev * prev
         per_block = (2 * t * d                 # two layer norms
                      + 4 * t * d * d           # qkv + projection
                      + 2 * t * m * m * d       # QK^T and AV over all heads
                      + 2 * t * d * hid)        # MLP
         total += cfg.depths[s] * per_block
     dl = cfg.final_dim
-    total += 2 * gh * gw * dl + dl * cfg.num_classes
+    total += 2 * cfg.grid(cfg.num_stages - 1) ** 2 * dl + dl * cfg.num_classes
     return total
 
 

@@ -132,12 +132,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"expected a scalar tensor, got shape {self.shape}")
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -536,13 +536,14 @@ def _holds_non_finite(f, start: int, count: int) -> bool:
     mapping of the file becomes resident."""
     buf = np.empty(min(count, _SCAN_CHUNK), dtype="<f4")
     f.seek(start)
-    for lo in range(0, count, len(buf)):
-        chunk = buf[:min(len(buf), count - lo)]
-        if f.readinto(chunk) < chunk.nbytes:
-            raise ValueError(f"truncated payload: expected {4 * count} bytes")
-        # the dot product is finite unless a value is not, or it overflows
-        if not math.isfinite(chunk @ chunk) and not np.isfinite(chunk).all():
-            return True
+    with np.errstate(over="ignore"):
+        for lo in range(0, count, len(buf)):
+            chunk = buf[:min(len(buf), count - lo)]
+            if f.readinto(chunk) < chunk.nbytes:
+                raise ValueError(f"truncated payload: expected {4 * count} bytes")
+            # the dot product is finite unless a value is not, or it overflows
+            if not math.isfinite(chunk @ chunk) and not np.isfinite(chunk).all():
+                return True
     return False
 
 

@@ -339,3 +339,14 @@ def add_objects(img, spec, rng):
         objects.append({"kind": kind, "cy": cy, "cx": cx, "r": r, "extent": float(extent),
                         "value": value, "amp": amp, "pixels": int(mask.sum())})
     return objects, int(support.sum())
+
+
+def write_ppm(path, image):
+    """Binary 8-bit PPM (P6), maxval 255, from a [h, w, 3] image of uint8
+    pixels or of floats in [0, 1], each rounded to the nearest level."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        image = np.clip(np.round(image * 255), 0, 255).astype(np.uint8)
+    h, w, _ = image.shape
+    with open(path, "wb") as f:
+        f.write(b"P6\n%d %d\n255\n" % (w, h) + image.tobytes())

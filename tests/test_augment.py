@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_sample_taps, prepare_batch_three_planes
+from oracles import affine_sample_taps, prepare_batch_three_planes, write_ppm
 from swinqa import augment
 from swinqa.augment import (
     IMAGENET_MEAN,
@@ -34,7 +34,7 @@ from swinqa.augment import (
     to_rgb01,
     translate,
 )
-from swinqa.data import _read_pixels, read_image, write_pgm, write_ppm
+from swinqa.data import _read_pixels, read_image, write_pgm
 from swinqa.tensor import using_dtype
 
 

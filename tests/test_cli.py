@@ -105,9 +105,9 @@ def test_defaults_are_json_round_trippable():
 
 def test_int_config_value_passes_as_float(tmp_path):
     path = write_config(tmp_path, train={"base_lr": 1, "drop_path_max": 0},
-                        aug={"erase_scale": [1, 2]})
+                        aug={"erase_scale": [1, 1]})
     tcfg = cli._train_config(load_run_config(path, {"out": str(tmp_path)}))
-    assert tcfg.base_lr == 1 and tcfg.aug.erase_scale == (1, 2)
+    assert tcfg.base_lr == 1 and tcfg.aug.erase_scale == (1, 1)
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -172,6 +172,7 @@ def small_run(tmp_path_factory):
     ("train", {"aug": {"normalize_mean": [0.5, 0.5]}}, "aug.normalize_mean"),
     ("train", {"aug": {"erase_aspect": [0.3, 3.3, 1.0]}}, "aug.erase_aspect"),
     ("train", {"aug": {"normalize_std": [0, 1, 1]}}, "normalize_std"),
+    ("train", {"aug": {"erase_scale": [1.5, 2]}}, "erase_scale"),  # no rectangle would fit
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections, key):
     manifest, ckpt = small_run
@@ -183,7 +184,19 @@ def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
     assert "Traceback" not in err
-    assert not (out / "checkpoint.swq").exists()
+    assert not out.exists() or os.listdir(out) == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_odd_token_grid_exits_1_before_any_forward(tmp_path, capsys, small_run, command):
+    # micro at 80 with window 5 has grids 20, 10, 5, 2; no merge halves the 5
+    flags = ["--manifest", small_run[0]] if command == "train" else []
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, **{command: {"img_size": 80, "window": 5}})
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == ("error: img_size 80 gives stage 2 an odd token grid 5, "
+                                       "which patch merging cannot halve\n")
+    assert os.listdir(out) == ["resolved_config.json"]
 
 
 @pytest.mark.parametrize("sections, want", [

@@ -33,7 +33,6 @@ from swinqa.data import (
     synth_lvot,
     threshold_baseline,
     write_pgm,
-    write_ppm,
 )
 
 
@@ -213,7 +212,7 @@ def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     img = rng.random((6, 7, 3))
     path = str(tmp_path / "x.ppm")
-    write_ppm(path, img)
+    oracles.write_ppm(path, img)
     back = read_image(path)
     assert back.shape == (6, 7, 3)
     assert np.array_equal(back, np.round(img * 255) / 255.0)
@@ -287,7 +286,7 @@ def test_load_manifest_keeps_the_files_uint8_pixels(tmp_path):
     gray = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
     rgb = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
     write_pgm(str(tmp_path / "g.pgm"), gray / 255.0)
-    write_ppm(str(tmp_path / "c.ppm"), rgb / 255.0)
+    oracles.write_ppm(str(tmp_path / "c.ppm"), rgb / 255.0)
     (tmp_path / "m.csv").write_text("path,label,split\ng.pgm,0,train\nc.ppm,1,val\n")
     records = load_manifest(str(tmp_path / "m.csv"))
     for rec, want, name in zip(records, (gray, rgb), ("g.pgm", "c.ppm")):
@@ -307,7 +306,7 @@ def test_image_functions_take_uint8_pixels_as_their_floats(tmp_path):
     levels = np.arange(256, dtype=np.uint8)
     gray = np.concatenate([levels, levels[::-1]]).reshape(16, 32)
     rgb = np.stack([gray, gray[::-1], gray.T.reshape(16, 32)], axis=-1)
-    for writer, img in ((write_pgm, gray), (write_ppm, rgb)):
+    for writer, img in ((write_pgm, gray), (oracles.write_ppm, rgb)):
         path = str(tmp_path / "x")
         writer(path, img)
         assert np.array_equal(data._read_pixels(path), img)

@@ -19,6 +19,7 @@ from oracles import (
 from oracles import init_params as init_params_oracle
 
 from swinqa import swin
+from swinqa.cli import INSPECT_ROWS
 from swinqa.swin import (
     NEG,
     FeatureMap,
@@ -175,6 +176,15 @@ def test_flops_within_ten_percent_of_published():
         assert abs(got - want) / want < 0.10, (cfg, got, want)
 
 
+def test_count_flops_pinned():
+    # the exact sums of the four `swinqa inspect` rows, and of micro at 64
+    got = {label: count_flops(preset(name, img_size=img_size, window=window))
+           for label, name, img_size, window in INSPECT_ROWS}
+    assert got == {"tiny-224/7": 4493563392.0, "small-224/7": 8745678336.0,
+                   "base-224/7": 15437350912.0, "base-1024/8": 324559439872.0}
+    assert count_flops(preset("micro", img_size=64)) == 10471296.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SwinConfig(img_size=225, embed_dim=96, depths=(2,), heads=(3,), window=7)
@@ -187,6 +197,17 @@ def test_config_validation():
     for over in (dict(patch_size=0), dict(patch_size=-4), dict(in_channels=0)):
         with pytest.raises(ValueError, match="patch_size and in_channels"):
             micro_cfg(**over)
+
+
+def test_config_refuses_a_grid_a_merge_cannot_halve():
+    # micro at 80 has grids 20, 10, 5, 2: stage 2's 5x5 tokens hold no 2x2 tiling
+    with pytest.raises(ValueError, match=r"^img_size 80 gives stage 2 an odd token grid 5, "
+                                         r"which patch merging cannot halve$"):
+        preset("micro", img_size=80, window=5)
+    with pytest.raises(ValueError, match=r"^img_size 12 gives stage 0 an odd token grid 3,"):
+        SwinConfig(img_size=12, embed_dim=8, depths=(1, 1), heads=(1, 1), window=3)
+    # no merge follows the last stage, so its grid may be odd
+    assert [preset("tiny", img_size=96, window=6).grid(s) for s in range(4)] == [24, 12, 6, 3]
 
 
 def test_effective_window_clamps_to_grid():
@@ -281,7 +302,7 @@ def test_cyclic_shift():
     assert np.array_equal(cyclic_shift(cyclic_shift(fm, -2), 2).values.data,
                           fm.values.data)
     quad = fmap(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))  # [[a,b],[c,d]]
-    rolled = cyclic_shift(quad, -1).grid_values().data[0, :, :, 0]
+    rolled = cyclic_shift(quad, -1).values.data.reshape(2, 2)
     assert np.array_equal(rolled, [[4.0, 3.0], [2.0, 1.0]])  # [[d,c],[b,a]]
 
 
@@ -448,7 +469,7 @@ def test_sw_msa_matches_region_oracle():
             mask = build_sw_attention_mask(8, 8, m, m // 2)
             ws = window_partition(shifted, m)
             ws = run_window_attention(ws, p, m, heads, mask)
-            got = cyclic_shift(window_reverse(ws), m // 2).grid_values().data[0]
+            got = cyclic_shift(window_reverse(ws), m // 2).values.data.reshape(8, 8, dim)
             want = region_attention_oracle(
                 x, p["qkv_w"], p["qkv_b"], p["proj_w"], p["proj_b"],
                 p["table"], m, heads)

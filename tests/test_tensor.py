@@ -145,15 +145,15 @@ def test_cross_entropy_soft_values():
     k = 4
     loss = cross_entropy_soft(Tensor(np.zeros((1, k))),
                               Tensor(np.eye(k)[:1]))
-    assert abs(loss.item() - np.log(k)) < 1e-12
+    assert abs(float(loss.data) - np.log(k)) < 1e-12
     # logits [1, 0], target [0.5, 0.5]: 0.5*(lse-1) + 0.5*lse, lse = ln(e+1)
     loss = cross_entropy_soft(Tensor([[1.0, 0.0]]), Tensor([[0.5, 0.5]]))
     want = np.log(np.exp(1.0) + 1.0) - 0.5
-    assert abs(loss.item() - 0.813261687518223) < 1e-12
-    assert abs(loss.item() - want) < 1e-15
+    assert abs(float(loss.data) - 0.813261687518223) < 1e-12
+    assert abs(float(loss.data) - want) < 1e-15
     # batch mean: duplicating a row leaves the loss unchanged
-    l1 = cross_entropy_soft(Tensor([[2.0, -1.0]]), Tensor([[1.0, 0.0]])).item()
-    l2 = cross_entropy_soft(Tensor([[2.0, -1.0]] * 3), Tensor([[1.0, 0.0]] * 3)).item()
+    l1 = float(cross_entropy_soft(Tensor([[2.0, -1.0]]), Tensor([[1.0, 0.0]])).data)
+    l2 = float(cross_entropy_soft(Tensor([[2.0, -1.0]] * 3), Tensor([[1.0, 0.0]] * 3)).data)
     assert abs(l1 - l2) < 1e-12
 
 

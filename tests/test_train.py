@@ -11,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import fields, replace
 
@@ -544,6 +545,17 @@ def test_checkpoint_rejects_non_finite_payload(tmp_path, entries, want):
     poison_payload(path, entries)
     with pytest.raises(ValueError, match=r"p\.swq: " + want):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_a_huge_finite_value_loads_without_a_warning(tmp_path):
+    # 3e38 is a finite float32 whose square overflows the scan's dot product
+    path = str(tmp_path / "p.swq")
+    save_checkpoint(path, micro_checkpoint())
+    poison_payload(path, [("head.bias", 3e38)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ckpt = load_checkpoint(path)
+    assert ckpt.params["head.bias"].data[0] == np.float32(3e38)
 
 
 def test_train_refuses_non_finite_checkpoint_in(tmp_path):

@@ -4,7 +4,10 @@
 
 <tree> is the root of a swinqa source tree; the script imports swinqa from
 <tree>/src. It prints the line count of each module in src/swinqa and
-their total, then the autodiff nodes that one training-mode forward of
+their total, then the options: the leaf keys of the run config
+(`cli.DEFAULTS`), the CLI flags (each command's own and the common ones,
+`--config` aside) and the parameters with a default of the functions in
+src/swinqa. Then the autodiff nodes that one training-mode forward of
 `micro` at batch 4 records: the nodes reachable from the loss through
 `_parents` (the loss itself counted apart), how many of them each Swin
 block and each patch merging adds, and the rest, which the stem and the
@@ -33,6 +36,7 @@ Two trees are compared by running the script on each.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -48,6 +52,20 @@ import numpy as np  # noqa: E402
 # (task, size, split sizes) of each synthesis footprint: criterion 8's set,
 # and 300 images at the published input size
 SYNTH_CASES = (("foreign_object", 64, (400, 100, 100)), ("lvot", 224, (200, 50, 50)))
+
+
+def option_counts(cli, package: Path) -> tuple[int, int, int]:
+    """(run-config leaf keys, CLI flags, defaulted function parameters)."""
+    def leaves(section):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in section.values())
+
+    flags = len(cli.COMMON_FLAGS) + sum(len(own) for _, _, own in cli.COMMANDS.values())
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    functions = [node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    defaulted = sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+                    for f in functions)
+    return leaves(cli.DEFAULTS), flags, defaulted
 
 
 def op_nodes(out, stop=None) -> int:
@@ -254,8 +272,11 @@ def main(argv) -> int:
         print(f"{lines:>6}  src/swinqa/{path.name}")
     print(f"{total:>6}  total")
     sys.path.insert(0, str(src))
-    from swinqa import swin, tensor
+    from swinqa import cli, swin, tensor
 
+    keys, flags, defaulted = option_counts(cli, package)
+    print(f"options: {keys} run-config keys, {flags} CLI flags, "
+          f"{defaulted} defaulted parameters")
     nodes, per_call = graph_counts(swin, tensor)
     per_block, per_merge = per_call["swin_block"], per_call["patch_merging"]
     print(f"micro training forward, batch 4: {nodes - 1} nodes ({nodes} with the loss)")
