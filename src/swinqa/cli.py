@@ -174,6 +174,10 @@ def _train_config(cfg: dict) -> TrainConfig:
 # ---------------------------------------------------------------- commands
 
 
+def _auc(auc: float | None) -> str:
+    return "n/a" if auc is None else f"{auc:.4f}"
+
+
 def cmd_synth(cfg: dict) -> int:
     spec = _synth_spec(cfg)
     s = cfg["synth"]
@@ -190,19 +194,23 @@ def cmd_train(cfg: dict) -> int:
     manifest = cfg["train"]["manifest"]
     if not manifest:
         raise ConfigError("train.manifest is required (run synth first)")
+    tcfg = _train_config(cfg)  # a refused config exits before any pixel is read
     records = load_manifest(manifest, ("train", "val"))
-    tcfg = _train_config(cfg)
-    ckpt = train(tcfg, [r for r in records if r.split == "train"],
-                 [r for r in records if r.split == "val"], log=print)
     history_path = os.path.join(cfg["out"], "history.csv")
-    write_history_csv(history_path, ckpt.history)
+
+    def on_epoch(ckpt):  # train() has just saved the checkpoint
+        write_history_csv(history_path, ckpt.history)
+        for row in ckpt.history[-1:]:  # a resumed header may hold no rows
+            print(f"epoch {row['epoch']}/{tcfg.epochs}  loss {row['train_loss']:.4f}  val_acc "
+                  f"{row['val_acc']:.2f}%  val_auc {_auc(row['val_auc'])}  lr {row['lr']:.3g}")
+    ckpt = train(tcfg, [r for r in records if r.split == "train"],
+                 [r for r in records if r.split == "val"], on_epoch=on_epoch)
     print(f"checkpoint: {tcfg.checkpoint_out}")
     print(f"history: {history_path}")
     if ckpt.best_epoch is not None:
         row = next(r for r in ckpt.history if r["epoch"] == ckpt.best_epoch)
-        auc_s = "n/a" if row["val_auc"] is None else f"{row['val_auc']:.4f}"
         print(f"best epoch {ckpt.best_epoch}: val_acc {row['val_acc']:.2f}% "
-              f"val_auc {auc_s}")
+              f"val_auc {_auc(row['val_auc'])}")
     return 0
 
 
@@ -230,8 +238,7 @@ def cmd_eval(cfg: dict) -> int:
         f.write("index,score,label,entropy\n")
         for i, s in enumerate(report.samples):
             f.write(f"{i},{s['score']!r},{s['label']},{s['entropy']!r}\n")
-    auc_s = "n/a" if report.auc is None else f"{report.auc:.4f}"
-    print(f"{e['split']} ({used}): acc {report.accuracy:.2f}%  auc {auc_s}  "
+    print(f"{e['split']} ({used}): acc {report.accuracy:.2f}%  auc {_auc(report.auc)}  "
           f"loss {report.mean_loss:.4f}")
     print(f"report: {report_path}")
     print(f"per-sample: {csv_path}")

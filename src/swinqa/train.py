@@ -572,10 +572,11 @@ def _rank(row: dict) -> tuple:
     return (row["val_auc"] if row["val_auc"] is not None else -1.0, row["val_acc"])
 
 
-def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
-    """Run the configured recipe, advancing the loaded checkpoint or an
-    epoch-0 one over init_weights; returns (and optionally writes) it. Its
-    best.* snapshot holds the weights of the epoch of highest _rank."""
+def train(cfg: TrainConfig, train_records, val_records, on_epoch=None) -> Checkpoint:
+    """Advance the loaded checkpoint, or an epoch-0 one over init_weights,
+    through the recipe and return it; best.* holds the epoch of highest
+    _rank. Each epoch, or a run with no epoch left, ends in one commit:
+    rng_state set, saved to checkpoint_out if set, on_epoch(ckpt) called."""
     scfg = cfg.swin_config()
     train_records = list(train_records)
     val_records = list(val_records)
@@ -617,6 +618,15 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
 
+    def commit():
+        ckpt.rng_state = {"scheme": RNG_SCHEME, "seed": cfg.seed, "next_epoch": ckpt.epoch}
+        if cfg.checkpoint_out:
+            save_checkpoint(cfg.checkpoint_out, ckpt)
+        if on_epoch is not None:
+            on_epoch(ckpt)
+
+    if ckpt.epoch == end_epoch:  # a resume with no epoch left commits once
+        commit()
     for epoch in range(ckpt.epoch, end_epoch):
         order = _rng_for(cfg.seed, 1, epoch).permutation(n)
         loss_sum = 0.0
@@ -668,14 +678,7 @@ def train(cfg: TrainConfig, train_records, val_records, log=None) -> Checkpoint:
             ckpt.best_epoch = epoch + 1
             ckpt.best_params = weights.astype("<f4")
         ckpt.epoch = epoch + 1
-        if log is not None:
-            auc_s = "n/a" if report.auc is None else f"{report.auc:.4f}"
-            log(f"epoch {epoch + 1}/{cfg.epochs}  loss {row['train_loss']:.4f}  "
-                f"val_acc {report.accuracy:.2f}%  val_auc {auc_s}  lr {lr:.3g}")
-
-    ckpt.rng_state = {"scheme": RNG_SCHEME, "seed": cfg.seed, "next_epoch": ckpt.epoch}
-    if cfg.checkpoint_out:
-        save_checkpoint(cfg.checkpoint_out, ckpt)
+        commit()
     return ckpt
 
 

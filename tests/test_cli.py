@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from swinqa.swin import count_params, init_params, param_views, preset
 from swinqa.train import (Checkpoint, TrainConfig, init_optim_state, load_checkpoint,
                           save_checkpoint)
 from test_acceptance import RECIPE
+from test_runtime import run_python
 from test_train import rewrite_header
 
 
@@ -188,15 +190,18 @@ def test_bad_config_value_exits_1(tmp_path, capsys, small_run, command, sections
 
 
 @pytest.mark.parametrize("command", ["bench", "train"])
-def test_odd_token_grid_exits_1_before_any_forward(tmp_path, capsys, small_run, command):
+def test_odd_token_grid_exits_1_before_any_forward(tmp_path, capsys, monkeypatch, small_run,
+                                                   command):
     # micro at 80 with window 5 has grids 20, 10, 5, 2; no merge halves the 5
     flags = ["--manifest", small_run[0]] if command == "train" else []
     out = tmp_path / "o"
     cfg = write_config(tmp_path, **{command: {"img_size": 80, "window": 5}})
+    read = _spy_reads(monkeypatch)
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == ("error: img_size 80 gives stage 2 an odd token grid 5, "
                                        "which patch merging cannot halve\n")
     assert os.listdir(out) == ["resolved_config.json"]
+    assert read == []  # train refuses its config before it decodes an image
 
 
 @pytest.mark.parametrize("sections, want", [
@@ -711,6 +716,111 @@ def test_resume_over_its_own_checkpoint_leaves_loaded_values(tmp_path, capsys):
         assert np.array_equal(a, b)
     assert sorted(os.listdir(run)) == ["checkpoint.swq", "history.csv",
                                        "resolved_config.json"]
+    capsys.readouterr()
+
+
+def test_train_abort_keeps_the_last_whole_epoch(tmp_path, capsys, monkeypatch, small_run):
+    """A gradient poisoned in epoch 2 aborts the run, which leaves epoch 1's
+    checkpoint and history: the files a run stopped after epoch 1 writes."""
+    manifest = small_run[0]
+    stopped = tmp_path / "stopped"
+    cfg = train_config(tmp_path, manifest, epochs=2, stop_epoch=1)
+    assert main(["train", "--config", cfg, "--out", str(stopped)]) == 0
+    assert re.fullmatch(r"epoch 1/2  loss \d\.\d{4}  val_acc \d+\.\d{2}%  "
+                        r"val_auc (n/a|\d\.\d{4})  lr \S+", capsys.readouterr().out.split("\n")[0])
+    params, calls = {}, []
+    tensors, backward = train_module.param_tensors, train_module.backward
+
+    def capture(*args):
+        params.update(tensors(*args))
+        return params
+
+    def poisoned(loss):
+        backward(loss)
+        calls.append(None)
+        if len(calls) > 2:  # 8 train images at batch 4: epoch 2 opens with call 3
+            params["head.bias"].grad[0] = np.nan
+
+    monkeypatch.setattr(train_module, "param_tensors", capture)
+    monkeypatch.setattr(train_module, "backward", poisoned)
+    out = tmp_path / "o"
+    cfg = train_config(tmp_path, manifest, epochs=2)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"aborted: non-finite gradient in head\.bias at epoch 2, step 2, "
+                        r"lr \S+\n", err), err
+    assert sorted(os.listdir(out)) == ["checkpoint.swq", "history.csv", "resolved_config.json"]
+    for name in ("checkpoint.swq", "history.csv"):
+        assert (out / name).read_bytes() == (stopped / name).read_bytes(), name
+
+
+def test_resume_with_no_epoch_left_writes_its_artifacts_once(tmp_path, capsys, monkeypatch,
+                                                             small_run):
+    """A resume that ends at its checkpoint's epoch trains nothing, but still
+    writes the checkpoint, unchanged, and its history, once each."""
+    manifest = small_run[0]
+    leg1 = tmp_path / "leg1"
+    assert main(["train", "--config", train_config(tmp_path, manifest, epochs=2, stop_epoch=1),
+                 "--out", str(leg1)]) == 0
+    saves, histories = [], []
+    save, write = train_module.save_checkpoint, cli.write_history_csv
+    monkeypatch.setattr(train_module, "save_checkpoint", lambda *a: saves.append(a) or save(*a))
+    monkeypatch.setattr(cli, "write_history_csv", lambda *a: histories.append(a) or write(*a))
+    out = tmp_path / "o"
+    cfg = train_config(tmp_path, manifest, epochs=2, stop_epoch=1,
+                       checkpoint_in=str(leg1 / "checkpoint.swq"))
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert len(saves) == 1 and len(histories) == 1
+    for name in ("checkpoint.swq", "history.csv"):
+        assert (out / name).read_bytes() == (leg1 / name).read_bytes(), name
+    assert capsys.readouterr().out.startswith("epoch 1/2  loss ")  # the last epoch's line
+
+
+def test_resume_with_no_epoch_left_of_a_header_without_rows(tmp_path, capsys, small_run):
+    scfg = preset("micro")
+    path = str(tmp_path / "bare.swq")
+    save_checkpoint(path, Checkpoint(config=scfg, epoch=1,
+                                     params=init_params(scfg, np.random.default_rng(0))))
+    out = tmp_path / "o"
+    cfg = train_config(tmp_path, small_run[0], epochs=2, stop_epoch=1, checkpoint_in=path)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "history.csv").read_text() == "epoch,train_loss,val_acc,val_auc,lr\n"
+    assert capsys.readouterr().out.startswith("checkpoint: ")  # no epoch line to print
+
+
+KILLED_IN_EPOCH_2 = """
+import os, signal
+from swinqa import cli, train
+
+evaluate, calls = train.evaluate, []
+
+def killing(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == 2:  # epoch 2 has trained, and its commit has not begun
+        os.kill(os.getpid(), signal.SIGKILL)
+    return evaluate(*args, **kwargs)
+
+train.evaluate = killing
+cli.main({args!r})
+"""
+
+
+def test_run_killed_in_epoch_2_resumes_to_a_straight_runs_bytes(tmp_path, capsys, small_run):
+    manifest = small_run[0]
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    cfg = train_config(tmp_path, manifest, epochs=2)
+    assert main(["train", "--config", cfg, "--out", str(straight)]) == 0
+    run_python(KILLED_IN_EPOCH_2.format(
+        args=["train", "--config", cfg, "--out", str(killed)]), returncode=-signal.SIGKILL)
+    assert sorted(os.listdir(killed)) == ["checkpoint.swq", "history.csv",
+                                          "resolved_config.json"]  # no staging file
+    assert len((killed / "history.csv").read_text().splitlines()) == 2  # header, epoch 1
+    assert load_checkpoint(str(killed / "checkpoint.swq")).epoch == 1
+    resume = train_config(tmp_path, manifest, epochs=2,
+                          checkpoint_in=str(killed / "checkpoint.swq"))
+    assert main(["train", "--config", resume, "--out", str(killed)]) == 0
+    for name in ("checkpoint.swq", "history.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes(), name
     capsys.readouterr()
 
 

@@ -16,12 +16,14 @@ import swinqa
 SRC = str(Path(swinqa.__file__).resolve().parent.parent)
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, returncode: int = 0) -> str:
+    """stdout of `code` run in a fresh interpreter with one BLAS thread,
+    which must exit with `returncode` (-N if signal N ended it)."""
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done.stdout
 
 
