@@ -51,7 +51,6 @@ def _field_defaults(cls) -> dict:
 DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
-    "workers": 1,
     "out": "runs/out",
     "synth": {**_field_defaults(SynthSpec), "n_train": 400, "n_val": 100, "n_test": 100},
     "train": {**_field_defaults(TrainConfig), "manifest": None},
@@ -182,8 +181,7 @@ def cmd_synth(cfg: dict) -> int:
     spec = _synth_spec(cfg)
     s = cfg["synth"]
     sizes = (s["n_train"], s["n_val"], s["n_test"])
-    manifest = make_benchmark(spec, *sizes, os.path.join(cfg["out"], "dataset"),
-                              workers=cfg["workers"])
+    manifest = make_benchmark(spec, *sizes, os.path.join(cfg["out"], "dataset"))
     for split, n in zip(SPLITS, sizes):
         print(f"{split}: {n} images")
     print(f"manifest: {manifest}")
@@ -297,7 +295,6 @@ COMMANDS = {
 }
 # the flags every command takes; they override top-level keys
 COMMON_FLAGS = (("seed", dict(type=int, help="override the run seed")),
-                ("workers", dict(type=int, help="worker count for synthesis")),
                 ("out", dict(metavar="DIR", help="output directory")))
 
 

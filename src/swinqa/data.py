@@ -9,8 +9,6 @@ geometry in the sample metadata so tests can check pixels against it.
 
 from __future__ import annotations
 
-import collections
-import concurrent.futures
 import contextlib
 import csv
 import errno
@@ -569,53 +567,28 @@ _WRITE_BATCH_BYTES = 1 << 18
 
 
 def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
-                   out_dir: str, workers: int = 1) -> str:
+                   out_dir: str) -> str:
     """Balanced synthetic dataset on disk; returns the manifest path.
 
     Each record's rng derives from (spec.seed, split, index), so output
-    bytes depend only on the spec, not on worker count or schedule. Each
-    record is quantized to its file's 8-bit pixels as soon as it is built
-    and written with the records before it once they hold
-    `_WRITE_BATCH_BYTES` (worker threads build ahead of the writer by at
-    most two records each), so synthesis holds a few records whatever the
-    dataset size. The files go to a staging directory beside `out_dir`
-    named with the writer's pid, the manifest last; only the complete
-    dataset then replaces `out_dir`, as a whole. On an error the staging
-    directory is removed and `out_dir` is left as it was; one a killed
-    writer left is removed by the next run. An existing `out_dir` must be
-    an empty directory or hold a manifest.csv, so no other is replaced.
+    bytes depend only on the spec. Each record is quantized to its file's
+    8-bit pixels as soon as it is built and written with the records
+    before it once they hold `_WRITE_BATCH_BYTES`, so synthesis holds a
+    few records whatever the dataset size. The files go to a staging
+    directory beside `out_dir` named with the writer's pid, the manifest
+    last; only the complete dataset then replaces `out_dir`, as a whole.
+    On an error the staging directory is removed and `out_dir` is left as
+    it was; one a killed writer left is removed by the next run. An
+    existing `out_dir` must be an empty directory or hold a manifest.csv,
+    so no other is replaced.
     """
     for n in (n_train, n_val, n_test):
         if n < 2 or n % 2:
             raise ValueError("split sizes must be even and >= 2 (balanced classes)")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and (
             os.path.isfile(os.path.join(out_dir, "manifest.csv")) or not os.listdir(out_dir))):
         raise ValueError(f"{out_dir} exists and is not a dataset directory; "
                          f"it is not replaced")
-    jobs = [(split_idx, split, i, i % 2 == 0)
-            for split_idx, (split, n) in enumerate(zip(SPLITS, (n_train, n_val, n_test)))
-            for i in range(n)]
-
-    def build(job):
-        split_idx, _, i, positive = job
-        rec = generate_record(spec, positive, np.random.default_rng([spec.seed, split_idx, i]))
-        return rec.label, quantize(rec.image)
-
-    def built():
-        if workers <= 1:
-            yield from map(build, jobs)
-            return
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            ahead = collections.deque()
-            for job in jobs:
-                ahead.append(ex.submit(build, job))
-                if len(ahead) > 2 * workers:
-                    yield ahead.popleft().result()
-            while ahead:
-                yield ahead.popleft().result()
-
     os.makedirs(os.path.dirname(os.path.abspath(out_dir)), exist_ok=True)
     staging = staging_path(out_dir)
     os.mkdir(staging)
@@ -628,12 +601,17 @@ def make_benchmark(spec: SynthSpec, n_train: int, n_val: int, n_test: int,
                 write_pgm(os.path.join(staging, rel), pixels)
             batch.clear()
 
-        for (_, split, i, positive), (label, pixels) in zip(jobs, built()):
-            rel = os.path.join("images", f"{split}_{i:04d}_{'p' if positive else 'n'}.pgm")
-            rows.append([rel, label, split])
-            batch.append((rel, pixels))
-            if len(batch) * pixels.nbytes >= _WRITE_BATCH_BYTES:
-                write_batch()
+        for split_idx, (split, n) in enumerate(zip(SPLITS, (n_train, n_val, n_test))):
+            for i in range(n):
+                positive = i % 2 == 0
+                rec = generate_record(spec, positive,
+                                      np.random.default_rng([spec.seed, split_idx, i]))
+                pixels = quantize(rec.image)
+                rel = os.path.join("images", f"{split}_{i:04d}_{'p' if positive else 'n'}.pgm")
+                rows.append([rel, rec.label, split])
+                batch.append((rel, pixels))
+                if len(batch) * pixels.nbytes >= _WRITE_BATCH_BYTES:
+                    write_batch()
         write_batch()
         with open(os.path.join(staging, "manifest.csv"), "w", newline="") as f:
             csv.writer(f, lineterminator="\n").writerows(rows)

@@ -154,8 +154,7 @@ class SwinConfig:
         return int(self.stage_dim(s) * self.mlp_ratio)
 
 
-def preset(name: str, img_size: int | None = None, window: int | None = None,
-           num_classes: int = 2) -> SwinConfig:
+def preset(name: str, img_size: int | None = None, window: int | None = None) -> SwinConfig:
     """Named configurations; tiny/small/base follow the published table."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
@@ -164,7 +163,7 @@ def preset(name: str, img_size: int | None = None, window: int | None = None,
         img_size=d_img if img_size is None else img_size,
         embed_dim=dim, depths=depths, heads=heads,
         window=d_win if window is None else window,
-        drop_path_max=dp, num_classes=num_classes)
+        drop_path_max=dp)
 
 
 @dataclass

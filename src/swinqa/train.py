@@ -60,10 +60,10 @@ _SCAN_CHUNK = 1 << 18
 
 
 class TrainAbort(RuntimeError):
-    """Raised when the loop hits a non-finite loss or gradient; the message
-    carries the epoch, optimizer step, and learning rate at the failure
-    point, and for a gradient the first parameter holding a non-finite
-    entry."""
+    """Raised when the loop hits a non-finite loss, gradient or weight; the
+    message carries the epoch, optimizer step, and learning rate at the
+    failure point, and for a gradient or a weight the first parameter
+    holding a non-finite entry."""
 
 
 @dataclass
@@ -72,7 +72,6 @@ class TrainConfig:
     model: str = "micro"
     img_size: int | None = None
     window: int | None = None
-    num_classes: int = 2
     base_lr: float | None = None        # None -> mode default
     weight_decay: float = 1e-8
     epochs: int | None = None           # None -> mode default
@@ -114,8 +113,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def swin_config(self) -> SwinConfig:
-        cfg = preset(self.model, img_size=self.img_size, window=self.window,
-                     num_classes=self.num_classes)
+        cfg = preset(self.model, img_size=self.img_size, window=self.window)
         if self.drop_path_max is not None:
             cfg = replace(cfg, drop_path_max=self.drop_path_max)
         return cfg
@@ -567,6 +565,16 @@ def _rng_for(seed: int, *key) -> np.random.Generator:
 RNG_SCHEME = "keyed-streams"
 
 
+def _non_finite_param(cfg: SwinConfig, flat: np.ndarray) -> str | None:
+    """The first parameter of the flat buffer `flat` holding a NaN or an
+    infinity, or None. Its dot product is finite unless an entry is not or
+    the sum overflows, so only a non-finite one is scanned entry by entry."""
+    if math.isfinite(flat @ flat):
+        return None
+    return next((name for name, view in param_views(cfg, flat).items()
+                 if not np.isfinite(view).all()), None)
+
+
 def _rank(row: dict) -> tuple:
     """Best-snapshot order of history rows: val AUC (None lowest), then val accuracy."""
     return (row["val_auc"] if row["val_auc"] is not None else -1.0, row["val_acc"])
@@ -627,58 +635,62 @@ def train(cfg: TrainConfig, train_records, val_records, on_epoch=None) -> Checkp
 
     if ckpt.epoch == end_epoch:  # a resume with no epoch left commits once
         commit()
-    for epoch in range(ckpt.epoch, end_epoch):
-        order = _rng_for(cfg.seed, 1, epoch).permutation(n)
-        loss_sum = 0.0
-        for s in range(steps_per_epoch):
-            step = epoch * steps_per_epoch + s
-            lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
-            batches = range(s * cfg.grad_accum_steps,
-                            min((s + 1) * cfg.grad_accum_steps, batches_per_epoch))
-            for b in batches:
-                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                images = [train_records[i].image for i in idx]
-                ys = [train_records[i].label for i in idx]
-                *x, soft = prepare_batch(
-                    images, ys, cfg.aug, "train" if cfg.augment else "eval", scfg.img_size,
-                    rng=_rng_for(cfg.seed, 2, epoch, b) if cfg.augment else None,
-                    num_classes=scfg.num_classes)
-                # as in evaluate, the stem frees the batch
-                logits = forward(x.pop(), scfg, ckpt.params, training=True,
-                                 rng=_rng_for(cfg.seed, 3, epoch, b))
-                loss = cross_entropy_soft(logits, Tensor(soft))
-                loss_val = float(loss.data)
-                if not math.isfinite(loss_val):
-                    raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
-                                     f"step {step}, lr {lr:.6g}")
-                backward(loss)  # adds into the flat grad buffer
-                # one graph at a time: drop this step's as soon as its backward
-                # has run. The package's heap policy (swinqa.set_heap_policy)
-                # keeps glibc from trimming the freed pages, so the next step
-                # reuses them without faulting them back in
-                logits = loss = None
-                loss_sum += loss_val * len(idx)
-            if len(batches) > 1:  # dividing by 1 is exact: skip the pass
-                grad /= len(batches)
-            if not math.isfinite(grad @ grad):  # NaN/inf, or a finite overflow
-                bad = next((name for name, view in param_views(scfg, grad).items()
-                            if not np.isfinite(view).all()), None)
-                if bad is not None:
+    # the loss, gradient and weight checks report an overflow as a TrainAbort,
+    # so numpy's floating-point warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for epoch in range(ckpt.epoch, end_epoch):
+            order = _rng_for(cfg.seed, 1, epoch).permutation(n)
+            loss_sum = 0.0
+            for s in range(steps_per_epoch):
+                step = epoch * steps_per_epoch + s
+                lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
+                batches = range(s * cfg.grad_accum_steps,
+                                min((s + 1) * cfg.grad_accum_steps, batches_per_epoch))
+                for b in batches:
+                    idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                    images = [train_records[i].image for i in idx]
+                    ys = [train_records[i].label for i in idx]
+                    *x, soft = prepare_batch(
+                        images, ys, cfg.aug, "train" if cfg.augment else "eval", scfg.img_size,
+                        rng=_rng_for(cfg.seed, 2, epoch, b) if cfg.augment else None,
+                        num_classes=scfg.num_classes)
+                    # as in evaluate, the stem frees the batch
+                    logits = forward(x.pop(), scfg, ckpt.params, training=True,
+                                     rng=_rng_for(cfg.seed, 3, epoch, b))
+                    loss = cross_entropy_soft(logits, Tensor(soft))
+                    loss_val = float(loss.data)
+                    if not math.isfinite(loss_val):
+                        raise TrainAbort(f"non-finite loss {loss_val} at epoch {epoch + 1}, "
+                                         f"step {step}, lr {lr:.6g}")
+                    backward(loss)  # adds into the flat grad buffer
+                    # one graph at a time: drop this step's as soon as its backward
+                    # has run. The package's heap policy (swinqa.set_heap_policy)
+                    # keeps glibc from trimming the freed pages, so the next step
+                    # reuses them without faulting them back in
+                    logits = loss = None
+                    loss_sum += loss_val * len(idx)
+                if len(batches) > 1:  # dividing by 1 is exact: skip the pass
+                    grad /= len(batches)
+                if (bad := _non_finite_param(scfg, grad)) is not None:
                     raise TrainAbort(f"non-finite gradient in {bad} at epoch "
                                      f"{epoch + 1}, step {step}, lr {lr:.6g}")
-            adamw_step(weights, grad, ckpt.optim, lr, cfg.weight_decay)
-            grad[...] = 0.0
-        report = evaluate(scfg, ckpt.params, val_records, cfg.aug,
-                          batch_size=cfg.eval_batch_size)
-        row = {"epoch": epoch + 1, "train_loss": loss_sum / n,
-               "val_acc": report.accuracy, "val_auc": report.auc, "lr": lr}
-        ckpt.history.append(row)
-        if best is None or _rank(row) > _rank(best):
-            best = row
-            ckpt.best_epoch = epoch + 1
-            ckpt.best_params = weights.astype("<f4")
-        ckpt.epoch = epoch + 1
-        commit()
+                adamw_step(weights, grad, ckpt.optim, lr, cfg.weight_decay)
+                grad[...] = 0.0
+            # an AdamW step can overflow the weights even on a finite gradient
+            if (bad := _non_finite_param(scfg, weights)) is not None:
+                raise TrainAbort(f"non-finite weight in {bad} at epoch "
+                                 f"{epoch + 1}, step {step}, lr {lr:.6g}")
+            report = evaluate(scfg, ckpt.params, val_records, cfg.aug,
+                              batch_size=cfg.eval_batch_size)
+            row = {"epoch": epoch + 1, "train_loss": loss_sum / n,
+                   "val_acc": report.accuracy, "val_auc": report.auc, "lr": lr}
+            ckpt.history.append(row)
+            if best is None or _rank(row) > _rank(best):
+                best = row
+                ckpt.best_epoch = epoch + 1
+                ckpt.best_params = weights.astype("<f4")
+            ckpt.epoch = epoch + 1
+            commit()
     return ckpt
 
 

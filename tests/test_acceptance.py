@@ -409,7 +409,7 @@ RECIPE = dict(mode="scratch", model="micro", epochs=20, warmup_epochs=2,
 
 def _benchmark_records(root):
     spec = SynthSpec(task="foreign_object", size=64, seed=1234)
-    manifest = make_benchmark(spec, 400, 100, 100, str(root), workers=1)
+    manifest = make_benchmark(spec, 400, 100, 100, str(root))
     records = load_manifest(manifest)
     return ([r for r in records if r.split == "train"],
             [r for r in records if r.split == "val"])

@@ -36,6 +36,7 @@ from swinqa.augment import (
 )
 from swinqa.data import _read_pixels, read_image, write_pgm
 from swinqa.tensor import using_dtype
+from test_acceptance import RECIPE
 
 
 class ScriptedRng:
@@ -553,8 +554,7 @@ def test_prepare_batch_train_shapes_labels_determinism():
 
 
 PIPELINE_CONFIGS = {
-    "desk": AugConfig(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05,
-                      cutmix_alpha=0.05, erase_prob=0.0, jitter_strength=0.05),
+    "desk": RECIPE["aug"],
     "default": AugConfig(),
     "heavy": AugConfig(randaug_n=3, randaug_magnitude=10.0, erase_prob=1.0),
 }

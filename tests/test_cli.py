@@ -3,6 +3,7 @@ config precedence, and determinism of emitted files."""
 
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 from swinqa import cli
 from swinqa import data as data_module
 from swinqa import train as train_module
+from swinqa.augment import AugConfig
 from swinqa.cli import DEFAULTS, SCHEMA_VERSION, load_run_config, main
 from swinqa.data import SynthSpec
 from swinqa.swin import count_params, init_params, param_views, preset
@@ -94,12 +96,31 @@ def test_perfbench_desk_recipe_is_the_criterion_8_recipe(tmp_path):
     assert cli._train_config(run) == want
 
 
+def test_output_digest_aug_is_the_criterion_8_recipe():
+    """tools/output_digest.py runs against other trees, so it keeps its own
+    copy of criterion 8's augmentation; the copy must be RECIPE's."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    (aug,) = module_constants(tools / "output_digest.py", {"C8_AUG"}).values()
+    assert AugConfig(**aug) == RECIPE["aug"]
+
+
+def test_option_surface_is_pinned(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the tool sets them on import; undone after the test
+    path = Path(__file__).resolve().parents[1] / "tools" / "src_stats.py"
+    spec = importlib.util.spec_from_file_location("src_stats", path)
+    src_stats = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_stats)
+    assert src_stats.option_counts(cli, Path(cli.__file__).parent) == (52, 8, 43), (
+        "the option surface changed: edit this pin and say why in CHANGES.md")
+
+
 def test_defaults_are_json_round_trippable():
     assert json.loads(json.dumps(DEFAULTS)) == DEFAULTS
     assert DEFAULTS["schema_version"] == SCHEMA_VERSION
     text = json.dumps(DEFAULTS, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "50a052a4b7c14439c88b8e0412e52097bc5f56b14066b0eef56cd1ae21f08c9c"), (
+        "ce34f60783bc6fa93b98ff49823d3d2fdc35b6831497d36e3d1ad602a3b95861"), (
         "the default run config changed: the synth, train and aug sections are the field "
         "defaults of SynthSpec, TrainConfig and AugConfig, so changing a dataclass default "
         "now changes the CLI")
@@ -305,9 +326,9 @@ def test_synth_at_minimum_size_builds(tmp_path, capsys):
     assert "train: 400 images" in capsys.readouterr().out
 
 
-def test_synth_deterministic_across_workers(tmp_path):
+def test_synth_twice_is_byte_identical(tmp_path):
     m1 = synth_small(tmp_path, sub="a")
-    m2 = synth_small(tmp_path, sub="b", workers=3)
+    m2 = synth_small(tmp_path, sub="b")
     d1, d2 = os.path.dirname(m1), os.path.dirname(m2)
     assert open(m1).read() == open(m2).read()
     images = sorted(os.listdir(os.path.join(d1, "images")))
@@ -581,6 +602,28 @@ def test_train_nan_abort_exits_2(tmp_path, capsys, monkeypatch):
     cfg = train_config(tmp_path, manifest, epochs=1)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "aborted" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+@pytest.mark.parametrize("sections, want", [
+    # README's four extreme values
+    ({"train": {"base_lr": 1e300}}, "loss nan at epoch 1, step 1, lr 7.5e+299"),
+    ({"train": {"weight_decay": 1e300}}, "loss nan at epoch 1, step 1, lr 0.000375"),
+    ({"aug": {"normalize_mean": [1e300, 1, 1]}}, "loss nan at epoch 1, step 0, lr 0.0005"),
+    ({"aug": {"normalize_std": [1e-300, 1, 1]}}, "loss nan at epoch 1, step 0, lr 0.0005"),
+    # the weights overflow on epoch 1's last step, before its evaluate
+    ({"train": {"warmup_epochs": 1, "base_lr": 1e300}},
+     "weight in patch_embed.weight at epoch 1, step 1, lr 5e+299"),
+], ids=["base_lr", "weight_decay", "normalize_mean", "normalize_std", "weight_overflow"])
+def test_extreme_config_aborts_with_one_stderr_line(tmp_path, capsys, small_run, sections,
+                                                    want):
+    manifest, _ = small_run
+    train = {"epochs": 2, "warmup_epochs": 0, "batch_size": 4, "grad_accum_steps": 1}
+    cfg = write_config(tmp_path, **{**sections, "train": {**train, **sections.get("train", {})}})
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--manifest", manifest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"aborted: non-finite {want}\n"
+    assert os.listdir(out) == ["resolved_config.json"]
 
 
 def test_eval_nan_checkpoint_exits_1(tmp_path, capsys):
@@ -877,12 +920,26 @@ def test_negative_seed_exits_1(tmp_path, capsys, small_run, command):
     assert os.listdir(out) == ["resolved_config.json"]
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_synth_with_workers_below_1_exits_1(tmp_path, capsys, workers):
+@pytest.mark.parametrize("command, sections, key", [
+    ("synth", {"workers": 2}, "workers"),
+    ("train", {"train": {"num_classes": 2}}, "train.num_classes"),
+])
+def test_removed_config_key_exits_1(tmp_path, capsys, small_run, command, sections, key):
+    manifest, _ = small_run
+    flags = {"train": ["--manifest", manifest]}.get(command, [])
     out = tmp_path / "o"
-    assert main(["synth", "--workers", str(workers), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
-    assert os.listdir(out) == ["resolved_config.json"]
+    cfg = write_config(tmp_path, **sections)
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_synth_workers_flag_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--workers", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- bench

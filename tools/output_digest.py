@@ -58,8 +58,8 @@ EVAL_CASES = (  # (name, preset, img_size, window, batch, dtype, as Tensor)
     ("micro-64-b64-array", "micro", 64, None, 64, "float32", False),
 )
 # the augmentation of criterion 8's recipe
-C8_AUG = dict(randaug_n=1, randaug_magnitude=3.0, mixup_alpha=0.05, cutmix_alpha=0.05,
-              erase_prob=0.0, jitter_strength=0.05)
+C8_AUG = {"randaug_n": 1, "randaug_magnitude": 3.0, "mixup_alpha": 0.05, "cutmix_alpha": 0.05,
+          "erase_prob": 0.0, "jitter_strength": 0.05}
 TRAIN_CASES = (  # (name, drop path, as Tensor)
     ("micro-128-b4-dp0", 0.0, True),
     ("micro-128-b4-dp0.3", 0.3, True),
